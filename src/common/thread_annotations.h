@@ -104,7 +104,6 @@ enum class LockRank : int {
 
   // --- leaf tier: held only across in-memory state mutation ------------
   kLeaf = 100,             // misc leaf locks with no outgoing edges
-  kParallelChunker = 110,  // ParallelFor join state (format/parallel_chunker)
   kMetrics = 120,          // obs::MetricsRegistry map
   kTimeSeriesRing = 140,   // obs::TimeSeriesRing buffer
   kTimeSeries = 160,       // obs::TimeSeries registry (holds ring locks)
@@ -125,8 +124,7 @@ enum class LockRank : int {
   kChunkCache = 370,       // ChunkCache chunk map
   kBoundedQueue = 390,     // pipeline::BoundedQueue ring
   kThreadPool = 400,       // pipeline::ThreadPool task queue
-  kScanInflight = 420,     // scan_raw.cc speculative in-flight set
-  kScanStatus = 430,       // scan_raw.cc first-error latch
+  kScanInflight = 420,     // scan_raw.cc QueryRun tasks, buffers, error
   kScanActive = 440,       // ScanRaw per-query profiling registry
   kScanSketched = 450,     // ScanRaw sketched-chunk set
   kScanWrite = 460,        // ScanRaw background-write completion latch

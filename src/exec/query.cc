@@ -17,7 +17,8 @@ std::vector<size_t> QuerySpec::RequiredColumns() const {
   return cols;
 }
 
-QueryExecutor::QueryExecutor(QuerySpec spec) : spec_(std::move(spec)) {}
+QueryExecutor::QueryExecutor(QuerySpec spec)
+    : spec_(std::move(spec)), required_columns_(spec_.RequiredColumns()) {}
 
 bool QueryExecutor::Matches(const BinaryChunk& chunk, size_t row) const {
   if (spec_.predicate.range.has_value()) {
@@ -34,7 +35,7 @@ bool QueryExecutor::Matches(const BinaryChunk& chunk, size_t row) const {
 }
 
 Status QueryExecutor::Consume(const BinaryChunk& chunk) {
-  for (size_t col : spec_.RequiredColumns()) {
+  for (size_t col : required_columns_) {
     if (!chunk.HasColumn(col)) {
       return Status::InvalidArgument(
           StringPrintf("chunk %llu lacks required column %zu",

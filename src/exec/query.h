@@ -99,6 +99,7 @@ class QueryExecutor {
   bool Matches(const BinaryChunk& chunk, size_t row) const;
 
   QuerySpec spec_;
+  std::vector<size_t> required_columns_;  // spec_.RequiredColumns()
   QueryResult result_;
 };
 

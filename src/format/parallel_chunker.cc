@@ -6,7 +6,6 @@
 
 #include "common/byte_scan.h"
 #include "common/clock.h"
-#include "common/thread_annotations.h"
 #include "pipeline/thread_pool.h"
 
 namespace scanraw {
@@ -42,9 +41,7 @@ void ParallelFor(ThreadPool* pool, size_t n,
     explicit State(size_t total) : n(total) {}
     const size_t n;
     std::atomic<size_t> next{0};
-    Mutex mu{LockRank::kParallelChunker, "ParallelFor.mu"};
-    CondVar done_cv;
-    size_t completed GUARDED_BY(mu) = 0;
+    std::atomic<size_t> completed{0};
   };
   auto state = std::make_shared<State>(n);
   // Helpers copy the body and share the state: a helper that dequeues after
@@ -59,16 +56,20 @@ void ParallelFor(ThreadPool* pool, size_t n,
       body(i);
       ++done;
     }
-    MutexLock lock(state->mu);
-    state->completed += done;
-    if (state->completed == state->n) state->done_cv.NotifyAll();
+    if (done == 0) return;
+    // Release: the caller's acquire load below sees every body(i) write.
+    state->completed.fetch_add(done, std::memory_order_acq_rel);
+    state->completed.notify_all();
   };
   for (size_t h = 0; h < helpers; ++h) pool->Submit(run);
   // The caller participates: with the pool saturated by other work this
-  // degrades to the caller running every index, never to a deadlock.
+  // degrades to the caller running every index, never to a deadlock. The
+  // join below waits only for indices a running helper already claimed.
   run();
-  MutexLock lock(state->mu);
-  while (state->completed != state->n) state->done_cv.Wait(lock);
+  for (size_t seen = state->completed.load(std::memory_order_acquire);
+       seen != n; seen = state->completed.load(std::memory_order_acquire)) {
+    state->completed.wait(seen, std::memory_order_acquire);
+  }
 }
 
 bool FindRecordNewlines(const char* data, size_t from, size_t end,
@@ -173,14 +174,10 @@ Result<PositionalMap> ParallelTokenizeChunk(
       NumRanges(parallel_options.pool, parallel_options.num_ranges,
                 chunk.data.size(), parallel_options.min_range_bytes, rows);
   if (stats != nullptr) stats->ranges += n;
-  if (n <= 1) {
-    Status status = TokenizeRows(chunk, options, 0, rows, &map);
-    if (!status.ok()) return status;
-    return map;
-  }
   // Byte-balanced row ranges: cut at byte targets, snapped to the record
   // starts TOKENIZE already knows, so a few huge rows cannot pile all the
-  // work onto one range.
+  // work onto one range. A single range runs inline (ParallelFor needs no
+  // helper for it) and still reports its span.
   std::vector<size_t> bounds;
   bounds.reserve(n + 1);
   bounds.push_back(0);

@@ -98,6 +98,7 @@ void ProgressReporter::Start() {
   if (started_) return;
   started_ = true;
   stop_ = false;
+  // scanraw-lint: allow(thread-spawn) progress timer, only with a callback
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -121,7 +122,7 @@ void ProgressReporter::Loop() {
   while (true) {
     {
       MutexLock lock(mu_);
-      cv_.WaitFor(lock, std::chrono::milliseconds(interval_ms_));
+      if (!stop_) cv_.WaitFor(lock, std::chrono::milliseconds(interval_ms_));
       if (stop_) return;
     }
     if (callback_) callback_(tracker_->Snapshot());

@@ -93,6 +93,7 @@ void ResourceSampler::Start() {
     stop_ = false;
   }
   log_->Append(probe_());
+  // scanraw-lint: allow(thread-spawn) §3.3 sampler, only with an interval
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -126,7 +127,7 @@ void ResourceSampler::Loop() {
   while (true) {
     {
       MutexLock lock(mu_);
-      cv_.WaitFor(lock, interval_);
+      if (!stop_) cv_.WaitFor(lock, interval_);
       if (stop_) return;
     }
     log_->Append(probe_());

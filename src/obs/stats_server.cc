@@ -127,6 +127,7 @@ Status StatsServer::Start() {
   listen_fd_ = fd;
   port_.store(ntohs(addr.sin_port), std::memory_order_relaxed);
   running_ = true;
+  // scanraw-lint: allow(thread-spawn) the HTTP stats server's accept loop
   thread_ = std::thread([this] { AcceptLoop(); });
   LOG_INFO("stats server listening on 127.0.0.1:%d", port());
   return Status::OK();

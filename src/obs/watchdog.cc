@@ -29,6 +29,7 @@ void Watchdog::Start() {
   if (running_) return;
   running_ = true;
   stop_ = false;
+  // scanraw-lint: allow(thread-spawn) one stall watchdog per manager
   thread_ = std::thread([this] { Loop(); });
 }
 

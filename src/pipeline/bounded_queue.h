@@ -1,7 +1,8 @@
-// BoundedQueue: the producer/consumer buffer connecting pipeline stages
-// (§3.1: "Buffers are characteristic to any pipeline implementation and
-// operate using the standard producer-consumer paradigm ... The entire
-// process is regulated by the size of the buffers").
+// BoundedQueue: a blocking producer/consumer buffer; the operator's WRITE
+// requests flow through one (§3.1: "Buffers are characteristic to any
+// pipeline implementation and operate using the standard producer-consumer
+// paradigm ... The entire process is regulated by the size of the
+// buffers").
 #ifndef SCANRAW_PIPELINE_BOUNDED_QUEUE_H_
 #define SCANRAW_PIPELINE_BOUNDED_QUEUE_H_
 
@@ -28,30 +29,10 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking push; returns false when full or closed. On failure `item`
-  // is left untouched so the caller can retry with a blocking Push.
-  bool TryPush(T&& item) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.NotifyOne();
-    return true;
-  }
-
   // Blocks while empty. Returns nullopt once the queue is closed AND empty.
   std::optional<T> Pop() EXCLUDES(mu_) {
     MutexLock lock(mu_);
     while (items_.empty() && !closed_) not_empty_.Wait(lock);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.NotifyOne();
-    return item;
-  }
-
-  // Non-blocking pop.
-  std::optional<T> TryPop() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
@@ -67,23 +48,9 @@ class BoundedQueue {
     not_full_.NotifyAll();
   }
 
-  bool closed() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return closed_;
-  }
-  size_t size() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return items_.size();
-  }
-  size_t capacity() const { return capacity_; }
-  bool Full() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return items_.size() >= capacity_;
-  }
-
  private:
   const size_t capacity_;
-  mutable Mutex mu_{LockRank::kBoundedQueue, "BoundedQueue.mu"};
+  Mutex mu_{LockRank::kBoundedQueue, "BoundedQueue.mu"};
   CondVar not_full_;
   CondVar not_empty_;
   std::deque<T> items_ GUARDED_BY(mu_);

@@ -1,11 +1,38 @@
 #include "pipeline/thread_pool.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+
 namespace scanraw {
+
+namespace {
+
+// The shared pool and the process that created it. Never destroyed: its
+// workers live as long as the process, and an instance inherited across
+// fork() has no threads left to join.
+struct SharedPool {
+  explicit SharedPool(SharedPool* parent)
+      : pool(std::max(1u, std::thread::hardware_concurrency())),
+        pid(getpid()),
+        inherited(parent) {}
+  ThreadPool pool;
+  const pid_t pid;
+  // The parent process's instance, kept reachable so a forked child's leak
+  // checker does not report it.
+  SharedPool* const inherited;
+};
+
+std::atomic<SharedPool*> g_shared_pool{nullptr};
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_workers) {
   threads_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    // scanraw-lint: allow(thread-spawn) pool workers, joined in ~ThreadPool
+    threads_.push_back(std::thread([this] { WorkerLoop(); }));
   }
 }
 
@@ -18,52 +45,32 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
+ThreadPool& ThreadPool::Shared() {
+  SharedPool* current = g_shared_pool.load(std::memory_order_acquire);
+  const pid_t pid = getpid();
+  while (current == nullptr || current->pid != pid) {
+    auto* fresh = new SharedPool(current);
+    if (g_shared_pool.compare_exchange_strong(current, fresh,
+                                              std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
+      return fresh->pool;
+    }
+    delete fresh;  // lost the race: `current` now holds the winner
+  }
+  return current->pool;
+}
+
 void ThreadPool::Submit(std::function<void()> task) {
   if (threads_.empty()) {
-    {
-      MutexLock lock(mu_);
-      if (tasks_counter_ != nullptr) tasks_counter_->Add(1);
-    }
     // Sequential mode: the caller is the worker.
     task();
     return;
   }
   {
     MutexLock lock(mu_);
-    if (tasks_counter_ != nullptr) tasks_counter_->Add(1);
     queue_.push_back(std::move(task));
-    if (queue_gauge_ != nullptr) queue_gauge_->Add(1);
   }
   work_available_.NotifyOne();
-}
-
-void ThreadPool::WaitIdle() {
-  if (threads_.empty()) return;
-  MutexLock lock(mu_);
-  while (!queue_.empty() || busy_ != 0) all_idle_.Wait(lock);
-}
-
-size_t ThreadPool::busy_workers() const {
-  MutexLock lock(mu_);
-  return busy_;
-}
-
-size_t ThreadPool::queued_tasks() const {
-  MutexLock lock(mu_);
-  return queue_.size();
-}
-
-void ThreadPool::SetIdleCallback(std::function<void()> callback) {
-  MutexLock lock(mu_);
-  idle_callback_ = std::move(callback);
-}
-
-void ThreadPool::BindMetrics(obs::Gauge* busy_workers, obs::Gauge* queue_depth,
-                             obs::Counter* tasks_submitted) {
-  MutexLock lock(mu_);
-  busy_gauge_ = busy_workers;
-  queue_gauge_ = queue_depth;
-  tasks_counter_ = tasks_submitted;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -75,20 +82,8 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++busy_;
-      if (queue_gauge_ != nullptr) queue_gauge_->Add(-1);
-      if (busy_gauge_ != nullptr) busy_gauge_->Add(1);
     }
     task();
-    std::function<void()> idle_cb;
-    {
-      MutexLock lock(mu_);
-      --busy_;
-      if (busy_gauge_ != nullptr) busy_gauge_->Add(-1);
-      if (queue_.empty() && busy_ == 0) all_idle_.NotifyAll();
-      if (queue_.size() < threads_.size()) idle_cb = idle_callback_;
-    }
-    if (idle_cb) idle_cb();
   }
 }
 

@@ -1,9 +1,8 @@
-// Worker thread pool with the scheduling semantics of §3.2: stand-alone
-// consumer threads request workers for chunk-sized tasks; the pool tracks
-// idle workers so the SCANRAW scheduler can detect CPU saturation and
-// "worker threads become available" events (the speculative-loading
-// triggers). A pool of size 0 runs tasks inline, which is the paper's
-// sequential configuration (Figure 4's "0 worker threads").
+// Worker thread pool with the scheduling semantics of §3.2: READ, TOKENIZE
+// and PARSE run as chunk-sized tasks on one dynamically scheduled pool.
+// Every ScanRaw shares the process-wide pool (Shared()); a query caps how
+// many of its own tasks run at once instead of owning threads. A pool of
+// size 0 runs each task inline on the submitting thread.
 #ifndef SCANRAW_PIPELINE_THREAD_POOL_H_
 #define SCANRAW_PIPELINE_THREAD_POOL_H_
 
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "obs/metrics.h"
 
 namespace scanraw {
 
@@ -24,44 +22,27 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // The process-wide pool, sized once from std::thread::hardware_concurrency()
+  // and created on first use. A forked child inherits the parent's pool
+  // object but none of its threads, so the first call in a new process
+  // replaces it with a fresh pool and leaves the inherited one untouched.
+  static ThreadPool& Shared();
+
   // Enqueues a task. With zero workers the task runs on the calling thread
-  // before Submit returns.
+  // before Submit returns. The destructor runs every queued task first.
   void Submit(std::function<void()> task) EXCLUDES(mu_);
 
-  // Blocks until every submitted task has finished.
-  void WaitIdle() EXCLUDES(mu_);
-
   size_t num_workers() const { return threads_.size(); }
-  // Workers currently executing a task.
-  size_t busy_workers() const EXCLUDES(mu_);
-  size_t queued_tasks() const EXCLUDES(mu_);
-
-  // Registers a callback fired each time a worker finishes a task and the
-  // pool has spare capacity again ("resume" hook for the scheduler). Must be
-  // set before tasks are submitted; pass nullptr to clear.
-  void SetIdleCallback(std::function<void()> callback) EXCLUDES(mu_);
-
-  // Wires live gauges (delta-updated, so several pools may share one gauge
-  // and it reads as the aggregate) and a submitted-task counter. Call
-  // before tasks are submitted; nullptr detaches.
-  void BindMetrics(obs::Gauge* busy_workers, obs::Gauge* queue_depth,
-                   obs::Counter* tasks_submitted) EXCLUDES(mu_);
 
  private:
   void WorkerLoop();
 
-  mutable Mutex mu_{LockRank::kThreadPool, "ThreadPool.mu"};
+  Mutex mu_{LockRank::kThreadPool, "ThreadPool.mu"};
   CondVar work_available_;
-  CondVar all_idle_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   // Started in the constructor, joined in the destructor; const between.
   std::vector<std::thread> threads_;
-  std::function<void()> idle_callback_ GUARDED_BY(mu_);
-  size_t busy_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
-  obs::Gauge* busy_gauge_ GUARDED_BY(mu_) = nullptr;
-  obs::Gauge* queue_gauge_ GUARDED_BY(mu_) = nullptr;
-  obs::Counter* tasks_counter_ GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace scanraw

@@ -58,8 +58,10 @@ struct ScanRawOptions {
 
   RawFormat raw_format = RawFormat::kDelimitedText;
 
-  // Worker threads in the pool shared by TOKENIZE and PARSE tasks. 0 means
-  // fully sequential conversion (Figure 4's leftmost configuration).
+  // Cap on how many of a query's READ, TOKENIZE and PARSE tasks run at once
+  // on the process-wide worker pool (ThreadPool::Shared). 0 means fully
+  // sequential: the consumer's Next() runs every step itself (Figure 4's
+  // leftmost configuration).
   size_t num_workers = 8;
 
   // Speculative intra-file parallel TOKENIZE (format/parallel_chunker):

@@ -22,7 +22,7 @@ class ThreadPool;
 
 // Splits a raw file sequentially into chunks of `chunk_rows` complete
 // records, recording each chunk's byte extent for the catalog.
-// Single-threaded (used only by the READ thread). When `pool` is set, chunk
+// Single-threaded (one READ step at a time). When `pool` is set, chunk
 // text buffers and line-start vectors are drawn from it (and return to it
 // when the consumer releases the chunk).
 //

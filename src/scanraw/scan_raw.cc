@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
+#include <functional>
 
 #include "common/clock.h"
 #include "io/fault_injection.h"
@@ -90,6 +92,9 @@ void PipelineProfile::Bind(obs::MetricsRegistry* registry) {
       registry->GetCounter("scanraw.tokenize.repair_bytes");
   bytes_tokenized_metric = registry->GetCounter("scanraw.tokenize.bytes");
   posmap_disk_metric = registry->GetCounter("scanraw.posmap.disk_chunks");
+  pool_tasks_metric = registry->GetCounter("scanraw.pool.tasks_submitted");
+  pool_busy_metric = registry->GetGauge("scanraw.pool.busy_workers");
+  pool_queue_metric = registry->GetGauge("scanraw.pool.queue_depth");
 }
 
 void PipelineProfile::Reset() {
@@ -134,10 +139,16 @@ bool ChunkHasColumns(const BinaryChunk& chunk,
 
 // ------------------------------------------------------------ QueryRun ----
 
-// The per-query pipeline: a READ thread, TOKENIZE/PARSE consumer threads
-// backed by a shared worker pool, and the bounded buffers between them.
-// Queue members are declared before the pool and the stand-alone threads so
-// they outlive every worker during destruction.
+// One query's pass over the file, run as tasks on the process-wide pool
+// (§3.1-3.2). Cache hits are handed out by Next() on the caller's thread.
+// Everything else is a step: READ of one database or raw chunk, TOKENIZE of
+// one chunk, or PARSE of one chunk. At most `num_workers` runner tasks of
+// this query claim steps, READ first, then TOKENIZE, then PARSE; with
+// num_workers = 0 the caller claims them inside Next(), the paper's
+// sequential configuration. A step is claimed only when the buffer it fills
+// has room, so no task ever blocks on a full buffer: READ stops when the text
+// buffer fills (the §4 speculative-WRITE trigger), and the TOKENIZE step that
+// drains a slot makes READ claimable again.
 struct ScanRaw::QueryRun::Impl {
   struct Tokenized {
     std::shared_ptr<TextChunk> text;
@@ -150,42 +161,26 @@ struct ScanRaw::QueryRun::Impl {
         required_columns(std::move(columns)),
         skip_filter(std::move(filter)),
         meta(std::move(snapshot)),
-        text_q(std::max<size_t>(1, parent_op->options_.text_buffer_capacity)),
-        pos_q(std::max<size_t>(1,
-                               parent_op->options_.position_buffer_capacity)),
-        out_q(std::max<size_t>(1, parent_op->options_.output_buffer_capacity)),
-        pool(parent_op->options_.num_workers),
+        max_tasks(parent_op->options_.num_workers),
+        text_capacity(
+            std::max<size_t>(1, parent_op->options_.text_buffer_capacity)),
+        pos_capacity(
+            std::max<size_t>(1, parent_op->options_.position_buffer_capacity)),
+        out_capacity(
+            std::max<size_t>(1, parent_op->options_.output_buffer_capacity)),
+        json(parent_op->options_.raw_format == RawFormat::kJsonLines),
+        topts(MakeTokenizeOptions()),
+        map_dialect{topts.delimiter, topts.quoted, topts.quote},
+        popts(MakeParseOptions()),
         invisible_budget(static_cast<int64_t>(
             parent_op->options_.invisible_chunks_per_query)) {
     obs::Telemetry* telemetry = parent->options_.telemetry;
-    if (telemetry != nullptr) {
-      obs::MetricsRegistry& registry = telemetry->metrics();
-      pool.BindMetrics(registry.GetGauge("scanraw.pool.busy_workers"),
-                       registry.GetGauge("scanraw.pool.queue_depth"),
-                       registry.GetCounter("scanraw.pool.tasks_submitted"));
-      if (parent->options_.resource_sample_interval_ms > 0) {
-        sampler = std::make_unique<obs::ResourceSampler>(
-            &telemetry->resources(), [this] { return ProbeResources(); },
-            std::chrono::milliseconds(
-                parent->options_.resource_sample_interval_ms));
-      }
-    }
-    // Progress totals are known only once the layout is (discovery scans
-    // report byte counts without a percentage). Skipped chunks are excluded
-    // so the fraction reaches 1.0.
-    if (meta.layout_known) {
-      uint64_t total_bytes = 0;
-      uint64_t total_chunks = 0;
-      for (const ChunkMetadata& cm : meta.chunks) {
-        if (skip_filter.has_value() &&
-            cm.CanSkipForRange(skip_filter->column, skip_filter->lo,
-                               skip_filter->hi)) {
-          continue;
-        }
-        total_bytes += cm.raw_size;
-        ++total_chunks;
-      }
-      progress.set_totals(total_bytes, total_chunks);
+    if (telemetry != nullptr &&
+        parent->options_.resource_sample_interval_ms > 0) {
+      sampler = std::make_unique<obs::ResourceSampler>(
+          &telemetry->resources(), [this] { return ProbeResources(); },
+          std::chrono::milliseconds(
+              parent->options_.resource_sample_interval_ms));
     }
     if (parent->options_.progress_callback) {
       reporter = std::make_unique<obs::ProgressReporter>(
@@ -194,12 +189,79 @@ struct ScanRaw::QueryRun::Impl {
     }
   }
 
+  // Must match TokenizeDialectFor: the dialect tag under which maps are
+  // cached, persisted, and validated.
+  TokenizeOptions MakeTokenizeOptions() const {
+    TokenizeOptions options;
+    options.delimiter = meta.schema.delimiter();
+    options.schema_fields = meta.schema.num_columns();
+    // Selective tokenizing: stop the scan after the last needed attribute.
+    // (JSON members are unordered, so its tokenizer always maps the full
+    // schema and selective tokenizing does not apply.)
+    size_t max_needed = 0;
+    for (size_t c : required_columns) max_needed = std::max(max_needed, c + 1);
+    options.max_fields = json ? 0 : max_needed;
+    options.quoted = Dialect().quoted;
+    return options;
+  }
+
+  ParseOptions MakeParseOptions() const {
+    ParseOptions options;
+    options.projected_columns = required_columns;
+    options.recycler = parent->buffer_pool_.get();
+    options.unescape_quotes = Dialect().quoted;
+    if (PushdownActive()) {
+      options.pushdown = PushdownFilter{skip_filter->column, skip_filter->lo,
+                                        skip_filter->hi};
+    }
+    return options;
+  }
+
+  // Splits the known layout into cache hits (handed out by Next()), then
+  // database-resident chunks, then raw chunks (§3.2.1), and starts READ.
   void Start() {
     profiler.Begin();  // re-anchor: setup (catalog reads) is not query time
     parent->RegisterObservers(&profiler, &progress, required_columns);
-    read_thread = std::thread([this] { ReadLoop(); });
-    tokenize_thread = std::thread([this] { TokenizeLoop(); });
-    parse_thread = std::thread([this] { ParseLoop(); });
+    if (meta.layout_known) {
+      std::vector<const ChunkMetadata*> from_raw;
+      uint64_t total_bytes = 0;
+      for (const ChunkMetadata& cm : meta.chunks) {
+        if (skip_filter.has_value() &&
+            cm.CanSkipForRange(skip_filter->column, skip_filter->lo,
+                               skip_filter->hi)) {
+          parent->profile_.CountSkipped();  // min/max proved no match (§3.3)
+          continue;
+        }
+        total_bytes += cm.raw_size;
+        BinaryChunkPtr hit = parent->cache_.Lookup(cm.chunk_index);
+        if (hit != nullptr && ChunkHasColumns(*hit, required_columns)) {
+          cached.emplace_back(cm.chunk_index, std::move(hit));
+        } else if (cm.HasColumnsLoaded(required_columns)) {
+          to_read.push_back(&cm);
+        } else {
+          from_raw.push_back(&cm);
+        }
+      }
+      db_count = to_read.size();
+      to_read.insert(to_read.end(), from_raw.begin(), from_raw.end());
+      // Progress totals are known only once the layout is (discovery scans
+      // report byte counts without a percentage). Skipped chunks are
+      // excluded so the fraction reaches 1.0.
+      progress.set_totals(total_bytes, cached.size() + to_read.size());
+    }
+    const bool read_work = !meta.layout_known || !to_read.empty();
+    // READ stays "in" its stage while it waits for buffer room: a wedge there
+    // is exactly what the watchdog must see as active-with-frozen-beats.
+    if (read_work) {
+      read_heartbeat.emplace(parent->heartbeats_, obs::HeartbeatStage::kRead);
+    }
+    bool spawn = false;
+    {
+      MutexLock lock(mu);
+      read_done = !read_work;
+      spawn = SpawnLocked();
+    }
+    SubmitRunner(spawn);
     if (sampler != nullptr) sampler->Start();
     if (reporter != nullptr) reporter->Start();
   }
@@ -207,14 +269,17 @@ struct ScanRaw::QueryRun::Impl {
   // Point-in-time utilization of the live pipeline (§3.3).
   ResourceSnapshot SnapshotResources() const {
     ResourceSnapshot snapshot;
-    snapshot.text_buffer_size = text_q.size();
-    snapshot.text_buffer_capacity = text_q.capacity();
-    snapshot.position_buffer_size = pos_q.size();
-    snapshot.position_buffer_capacity = pos_q.capacity();
-    snapshot.output_buffer_size = out_q.size();
-    snapshot.output_buffer_capacity = out_q.capacity();
-    snapshot.busy_workers = pool.busy_workers();
-    snapshot.num_workers = pool.num_workers();
+    {
+      MutexLock lock(mu);
+      snapshot.text_buffer_size = text.size();
+      snapshot.position_buffer_size = pos.size();
+      snapshot.output_buffer_size = out.size();
+      snapshot.busy_workers = runners - queued_runners;
+    }
+    snapshot.text_buffer_capacity = text_capacity;
+    snapshot.position_buffer_capacity = pos_capacity;
+    snapshot.output_buffer_capacity = out_capacity;
+    snapshot.num_workers = max_tasks;
     snapshot.cache_size = parent->cache_.size();
     snapshot.cache_capacity = parent->cache_.capacity();
     snapshot.UpdateAdvice();
@@ -253,48 +318,185 @@ struct ScanRaw::QueryRun::Impl {
     return sample;
   }
 
+  // Latches the first error; no further step is claimed.
   void ReportError(const Status& status) {
     obs::FlightRecord(obs::FlightEvent::kError,
                       static_cast<uint64_t>(status.code()), 0);
-    {
-      MutexLock lock(status_mu);
-      if (first_error.ok()) first_error = status;
-    }
-    // Unblock the whole pipeline; Pop drains what is already buffered.
-    text_q.Close();
-    pos_q.Close();
-    out_q.Close();
+    MutexLock lock(mu);
+    if (first_error.ok()) first_error = status;
+    cv.NotifyAll();
   }
 
   Status GetStatus() const {
-    MutexLock lock(status_mu);
+    MutexLock lock(mu);
     return first_error;
   }
 
-  // Pushes a raw text chunk, signalling the speculative trigger when READ
-  // blocks on a full buffer (§4). Returns false if the pipeline is aborting.
-  bool PushText(TextChunk chunk) {
-    if (text_q.TryPush(std::move(chunk))) return true;
-    parent->profile_.CountReadBlocked();
-    if (obs::ChunkTracer* tracer = parent->tracer()) {
-      tracer->RecordInstant(obs::TraceStage::kReadBlocked, chunk.chunk_index);
-    }
-    parent->MaybeTriggerSpeculativeWrite();
-    return text_q.Push(std::move(chunk));
+  template <typename T>
+  static T PopFront(std::deque<T>& queue) {
+    T item = std::move(queue.front());
+    queue.pop_front();
+    return item;
   }
 
-  void ReadLoop() {
-    // Active for the whole loop: READ blocked on the arbiter or a full text
-    // buffer is still "in" the stage, and a wedge there is exactly what the
-    // watchdog must see as active-with-frozen-beats.
-    obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                          obs::HeartbeatStage::kRead);
-    if (!meta.layout_known) {
-      DiscoveryScan();
-    } else {
-      KnownLayoutScan();
+  // A step is claimable when the buffer it fills has a free slot. READ
+  // fetches database chunks straight into the output buffer and raw chunks
+  // into the text buffer.
+  bool ReadClaimable() const REQUIRES(mu) {
+    if (read_busy || read_done) return false;
+    return next_read < db_count ? out.size() < out_capacity
+                                : text.size() < text_capacity;
+  }
+  bool TokenizeClaimable() const REQUIRES(mu) {
+    return !text.empty() && pos.size() + tokenizing < pos_capacity;
+  }
+  bool ParseClaimable() const REQUIRES(mu) {
+    return !pos.empty() && out.size() + parsing < out_capacity;
+  }
+
+  // Claims the next step and reserves its output slot; empty when none can
+  // start.
+  std::function<void()> ClaimLocked() REQUIRES(mu) {
+    std::function<void()> step;
+    if (!first_error.ok() || abandoned) return step;
+    if (ReadClaimable()) {
+      read_busy = true;
+      if (!meta.layout_known) {
+        step = [this] { DiscoveryStep(); };
+      } else {
+        const ChunkMetadata* cm = to_read[next_read];
+        const bool from_db = next_read++ < db_count;
+        read_done = next_read == to_read.size();
+        step = [this, cm, from_db] { from_db ? DbStep(*cm) : RawStep(*cm); };
+      }
+    } else if (TokenizeClaimable()) {
+      ++tokenizing;
+      step = [this, chunk = PopFront(text)]() mutable {
+        TokenizeStep(std::move(chunk));
+      };
+    } else if (ParseClaimable()) {
+      ++parsing;
+      step = [this, tokenized = PopFront(pos)]() mutable {
+        ParseStep(std::move(tokenized));
+      };
     }
-    text_q.Close();
+    if (step) AddToMetric(parent->profile_.pool_tasks_metric, 1);
+    return step;
+  }
+
+  // Reserves one more runner task when a step is claimable, no runner is
+  // queued to take it, and the query is under its cap. Counting it here
+  // keeps the run alive until it exits; the caller submits it unlocked.
+  bool SpawnLocked() REQUIRES(mu) {
+    if (runners == max_tasks || queued_runners > 0 || !first_error.ok() ||
+        abandoned || !(ReadClaimable() || TokenizeClaimable() ||
+                       ParseClaimable())) {
+      return false;
+    }
+    ++runners;
+    ++queued_runners;
+    AddToMetric(parent->profile_.pool_queue_metric, 1);
+    return true;
+  }
+
+  template <typename Metric>
+  static void AddToMetric(Metric* metric, int delta) {
+    if (metric != nullptr) metric->Add(delta);
+  }
+
+  void SubmitRunner(bool spawn) {
+    if (spawn) ThreadPool::Shared().Submit([this] { RunSteps(); });
+  }
+
+  // Body of one runner task: runs this query's steps until none can be
+  // claimed. The last thing it touches is `mu`, released on return.
+  void RunSteps() {
+    {
+      MutexLock lock(mu);
+      --queued_runners;
+      AddToMetric(parent->profile_.pool_queue_metric, -1);
+      AddToMetric(parent->profile_.pool_busy_metric, 1);
+    }
+    while (true) {
+      std::function<void()> step;
+      bool spawn = false;
+      {
+        MutexLock lock(mu);
+        step = ClaimLocked();
+        if (!step) {
+          AddToMetric(parent->profile_.pool_busy_metric, -1);
+          --runners;
+          cv.NotifyAll();
+          return;
+        }
+        spawn = SpawnLocked();  // ramps up to the cap while work remains
+      }
+      SubmitRunner(spawn);
+      step();
+    }
+  }
+
+  // Every raw chunk is converted and delivered or buffered for delivery.
+  bool ScanCompleteLocked() const REQUIRES(mu) {
+    return read_done && !read_busy && text.empty() && pos.empty() &&
+           tokenizing == 0 && parsing == 0;
+  }
+
+  // Cache hits go to the caller without a hand-off; then the output buffer.
+  Result<std::optional<BinaryChunkPtr>> Next() {
+    if (next_cached < cached.size()) {
+      auto& [index, chunk] = cached[next_cached++];
+      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kCacheHit);
+      parent->profile_.CountFromCache();
+      // Invisible loading charges its per-query quota against any unloaded
+      // chunk that passes through, cached or freshly converted.
+      if (parent->options_.policy == LoadPolicy::kInvisibleLoading) {
+        MaybeInvisibleWrite(index, chunk);
+      }
+      if (index < meta.chunks.size()) {
+        progress.AddBytes(meta.chunks[index].raw_size);
+      }
+      progress.CountChunk();
+      BeatStage(obs::HeartbeatStage::kRead);
+      return std::optional<BinaryChunkPtr>(std::move(chunk));
+    }
+    while (true) {
+      std::function<void()> step;
+      BinaryChunkPtr item;
+      bool spawn = false;
+      bool flush = false;
+      {
+        MutexLock lock(mu);
+        while (out.empty() && first_error.ok() && !ScanCompleteLocked() &&
+               max_tasks > 0) {
+          cv.Wait(lock);
+        }
+        if (!out.empty()) {
+          item = PopFront(out);
+          spawn = SpawnLocked();
+        } else if (!first_error.ok()) {
+          return first_error;
+        } else if (ScanCompleteLocked()) {
+          flush = !end_of_scan;
+          end_of_scan = true;
+        } else {
+          step = ClaimLocked();  // sequential configuration: caller works
+        }
+      }
+      if (step) {
+        step();
+        continue;
+      }
+      SubmitRunner(spawn);
+      // End of scan: every raw chunk is converted and resident (or already
+      // delivered). The safeguard flushes the unloaded cache tail (§4).
+      if (flush && parent->options_.safeguard_enabled &&
+          parent->options_.policy == LoadPolicy::kSpeculativeLoading) {
+        parent->SafeguardFlush();
+      }
+      if (item == nullptr) return std::optional<BinaryChunkPtr>();
+      return std::optional<BinaryChunkPtr>(std::move(item));
+    }
   }
 
   // Progress pulse for the stage watchdog; no-op when telemetry is unset.
@@ -310,11 +512,11 @@ struct ScanRaw::QueryRun::Impl {
     return dialect;
   }
 
-  // Worker pool for the speculative parallel range scans; null keeps the
-  // frozen sequential reference path.
-  ThreadPool* ScanPool() {
-    return parent->options_.parallel_tokenize && pool.num_workers() > 0
-               ? &pool
+  // Pool for fanning one chunk's record scan or TOKENIZE out over idle
+  // workers; null keeps the frozen sequential reference path.
+  ThreadPool* ScanPool() const {
+    return parent->options_.parallel_tokenize && max_tasks > 0
+               ? &ThreadPool::Shared()
                : nullptr;
   }
 
@@ -329,318 +531,233 @@ struct ScanRaw::QueryRun::Impl {
     *prev = cur;
   }
 
+  // Ends a READ step: a database chunk joins the output buffer, a raw chunk
+  // the text buffer. A raw chunk that fills the text buffer stops READ with
+  // the disk idle, which is when §4 triggers a speculative WRITE.
+  void EndRead(std::optional<TextChunk> raw, BinaryChunkPtr db, bool last) {
+    const uint64_t raw_index = raw.has_value() ? raw->chunk_index : 0;
+    bool blocked = false;
+    bool finished = false;
+    bool spawn = false;
+    {
+      MutexLock lock(mu);
+      read_busy = false;
+      read_done = read_done || last;
+      finished = read_done;
+      if (db != nullptr) out.push_back(std::move(db));
+      if (raw.has_value()) {
+        text.push_back(std::move(*raw));
+        blocked = text.size() >= text_capacity;
+      }
+      spawn = SpawnLocked();
+      cv.NotifyAll();
+    }
+    SubmitRunner(spawn);
+    if (finished) read_heartbeat.reset();
+    if (blocked) {
+      parent->profile_.CountReadBlocked();
+      if (obs::ChunkTracer* tracer = parent->tracer()) {
+        tracer->RecordInstant(obs::TraceStage::kReadBlocked, raw_index);
+      }
+      parent->MaybeTriggerSpeculativeWrite();
+    }
+  }
+
+  void ReadFailed(const Status& status) {
+    ReportError(status);
+    EndRead(std::nullopt, nullptr, /*last=*/true);
+  }
+
   // First access to the file: sequential scan, chunk layout recorded into
   // the catalog as chunks are produced.
-  void DiscoveryScan() {
-    auto chunker = SequentialChunker::Open(
-        meta.raw_path, parent->options_.chunk_rows, parent->raw_limiter_,
-        &parent->raw_io_stats_, parent->buffer_pool_.get(), Dialect(),
-        ScanPool());
-    if (!chunker.ok()) {
-      ReportError(chunker.status());
-      return;
+  void DiscoveryStep() {
+    if (chunker == nullptr) {
+      auto opened = SequentialChunker::Open(
+          meta.raw_path, parent->options_.chunk_rows, parent->raw_limiter_,
+          &parent->raw_io_stats_, parent->buffer_pool_.get(), Dialect(),
+          ScanPool());
+      if (!opened.ok()) return ReadFailed(opened.status());
+      chunker = std::move(*opened);
     }
-    SpeculationStats spec_seen;
-    while (true) {
-      std::optional<TextChunk> chunk;
-      {
-        ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-        obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-        obs::SpanRecorder span(parent->tracer(),
-                               parent->profile_.read_latency,
-                               obs::TraceStage::kRead, obs::ChunkSource::kRaw);
-        ScopedTimer timer(&parent->profile_.read_time);
-        auto next = (*chunker)->Next();
-        if (!next.ok()) {
-          ReportError(next.status());
-          return;
-        }
-        chunk = std::move(*next);
-        if (chunk.has_value()) {
-          span.set_chunk_index(chunk->chunk_index);
-        } else {
-          span.Cancel();  // EOF probe, not a chunk read
-        }
-      }
-      AddSpeculation((*chunker)->speculation(), &spec_seen);
-      BeatStage(obs::HeartbeatStage::kRead);
-      if (!chunk.has_value()) break;
-      ChunkMetadata cm;
-      cm.chunk_index = chunk->chunk_index;
-      cm.raw_offset = chunk->file_offset;
-      cm.raw_size = chunk->data.size();
-      cm.num_rows = chunk->num_rows();
-      obs::FlightRecord(obs::FlightEvent::kRead, chunk->chunk_index,
-                        chunk->data.size());
-      Status s = parent->catalog_->AppendChunk(parent->table_, cm);
-      if (!s.ok()) {
-        ReportError(s);
-        return;
-      }
-      parent->profile_.CountFromRaw();
-      if (!PushText(std::move(*chunk))) return;
-    }
-    Status s = parent->catalog_->MarkLayoutComplete(parent->table_);
-    if (!s.ok()) ReportError(s);
-  }
-
-  // Later accesses: deliver cached chunks first, then database-resident
-  // chunks, then re-read the remaining raw chunks (§3.2.1).
-  void KnownLayoutScan() {
-    std::vector<std::pair<uint64_t, BinaryChunkPtr>> cached;
-    std::vector<const ChunkMetadata*> from_db;
-    std::vector<const ChunkMetadata*> from_raw;
-    for (const ChunkMetadata& cm : meta.chunks) {
-      if (skip_filter.has_value() &&
-          cm.CanSkipForRange(skip_filter->column, skip_filter->lo,
-                             skip_filter->hi)) {
-        parent->profile_.CountSkipped();  // min/max proved no match (§3.3)
-        continue;
-      }
-      BinaryChunkPtr hit = parent->cache_.Lookup(cm.chunk_index);
-      if (hit != nullptr && ChunkHasColumns(*hit, required_columns)) {
-        cached.emplace_back(cm.chunk_index, std::move(hit));
-      } else if (cm.HasColumnsLoaded(required_columns)) {
-        from_db.push_back(&cm);
+    std::optional<TextChunk> chunk;
+    {
+      ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
+      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
+      obs::SpanRecorder span(parent->tracer(), parent->profile_.read_latency,
+                             obs::TraceStage::kRead, obs::ChunkSource::kRaw);
+      ScopedTimer timer(&parent->profile_.read_time);
+      auto next = chunker->Next();
+      if (!next.ok()) return ReadFailed(next.status());
+      chunk = std::move(*next);
+      if (chunk.has_value()) {
+        span.set_chunk_index(chunk->chunk_index);
       } else {
-        from_raw.push_back(&cm);
+        span.Cancel();  // EOF probe, not a chunk read
       }
     }
-
-    for (auto& [index, chunk] : cached) {
-      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kCacheHit);
-      parent->profile_.CountFromCache();
-      // Invisible loading charges its per-query quota against any unloaded
-      // chunk that passes through, cached or freshly converted.
-      if (parent->options_.policy == LoadPolicy::kInvisibleLoading) {
-        MaybeInvisibleWrite(index, chunk);
-      }
-      if (index < meta.chunks.size()) {
-        progress.AddBytes(meta.chunks[index].raw_size);
-      }
-      progress.CountChunk();
-      BeatStage(obs::HeartbeatStage::kRead);
-      if (!out_q.Push(std::move(chunk))) return;
+    AddSpeculation(chunker->speculation(), &spec_seen);
+    BeatStage(obs::HeartbeatStage::kRead);
+    if (!chunk.has_value()) {
+      Status s = parent->catalog_->MarkLayoutComplete(parent->table_);
+      if (!s.ok()) ReportError(s);
+      return EndRead(std::nullopt, nullptr, /*last=*/true);
     }
-
-    for (const ChunkMetadata* cm : from_db) {
-      BinaryChunkPtr ptr;
-      {
-        ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-        obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-        obs::SpanRecorder span(parent->tracer(),
-                               parent->profile_.read_latency,
-                               obs::TraceStage::kRead, obs::ChunkSource::kDb,
-                               cm->chunk_index);
-        ScopedTimer timer(&parent->profile_.read_time);
-        auto chunk =
-            parent->storage_->ReadChunkColumns(*cm, required_columns);
-        if (!chunk.ok()) {
-          ReportError(chunk.status());
-          return;
-        }
-        ptr = std::make_shared<const BinaryChunk>(std::move(*chunk));
-      }
-      obs::FlightRecord(obs::FlightEvent::kRead, cm->chunk_index,
-                        cm->raw_size);
-      parent->profile_.CountFromDb();
-      progress.AddBytes(cm->raw_size);
-      progress.CountChunk();
-      BeatStage(obs::HeartbeatStage::kRead);
-      // Database chunks are cached too (pre-fetching works for both sources,
-      // §3.1) and arrive already loaded.
-      HandleEvictions(
-          parent->cache_.Insert(cm->chunk_index, ptr, /*loaded=*/true));
-      if (!out_q.Push(std::move(ptr))) return;
-    }
-
-    if (from_raw.empty()) return;
-    auto file = RandomAccessFile::Open(meta.raw_path, parent->raw_limiter_,
-                                       &parent->raw_io_stats_);
-    if (!file.ok()) {
-      ReportError(file.status());
-      return;
-    }
-    for (const ChunkMetadata* cm : from_raw) {
-      TextChunk chunk;
-      {
-        ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-        obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-        obs::SpanRecorder span(parent->tracer(),
-                               parent->profile_.read_latency,
-                               obs::TraceStage::kRead, obs::ChunkSource::kRaw,
-                               cm->chunk_index);
-        ScopedTimer timer(&parent->profile_.read_time);
-        SpeculationStats spec;
-        auto read = ReadChunkAt(**file, *cm, parent->buffer_pool_.get(),
-                                Dialect(), ScanPool(), &spec);
-        parent->profile_.AddTokenizeRanges(spec.ranges);
-        parent->profile_.AddTokenizeMisspeculations(spec.misspeculations);
-        parent->profile_.AddTokenizeRepairBytes(spec.repair_bytes);
-        if (!read.ok()) {
-          ReportError(read.status());
-          return;
-        }
-        chunk = std::move(*read);
-      }
-      obs::FlightRecord(obs::FlightEvent::kRead, cm->chunk_index,
-                        cm->raw_size);
-      parent->profile_.CountFromRaw();
-      BeatStage(obs::HeartbeatStage::kRead);
-      if (!PushText(std::move(chunk))) return;
-    }
+    ChunkMetadata cm;
+    cm.chunk_index = chunk->chunk_index;
+    cm.raw_offset = chunk->file_offset;
+    cm.raw_size = chunk->data.size();
+    cm.num_rows = chunk->num_rows();
+    obs::FlightRecord(obs::FlightEvent::kRead, chunk->chunk_index,
+                      chunk->data.size());
+    Status s = parent->catalog_->AppendChunk(parent->table_, cm);
+    if (!s.ok()) return ReadFailed(s);
+    parent->profile_.CountFromRaw();
+    EndRead(std::move(chunk), nullptr, /*last=*/false);
   }
 
-  // Speculative parallel TOKENIZE for one chunk: runs inline on the
-  // TOKENIZE consumer thread — the byte ranges fan out to the worker pool
-  // and the caller participates in claiming them, so a saturated pool
-  // degrades to the caller tokenizing everything rather than deadlocking
-  // behind its own queue. Busy time reaches the span profiler as one span
-  // per range from whichever thread ran it (no outer kTokenize scope, or
-  // the ranges would be double-counted).
-  void TokenizeParallel(const std::shared_ptr<TextChunk>& text,
-                        const TokenizeOptions& topts,
-                        const PosmapDialect& dialect, bool use_map_cache) {
+  void DbStep(const ChunkMetadata& cm) {
+    BinaryChunkPtr ptr;
+    {
+      ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
+      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
+      obs::SpanRecorder span(parent->tracer(), parent->profile_.read_latency,
+                             obs::TraceStage::kRead, obs::ChunkSource::kDb,
+                             cm.chunk_index);
+      ScopedTimer timer(&parent->profile_.read_time);
+      auto chunk = parent->storage_->ReadChunkColumns(cm, required_columns);
+      if (!chunk.ok()) return ReadFailed(chunk.status());
+      ptr = std::make_shared<const BinaryChunk>(std::move(*chunk));
+    }
+    obs::FlightRecord(obs::FlightEvent::kRead, cm.chunk_index, cm.raw_size);
+    parent->profile_.CountFromDb();
+    progress.AddBytes(cm.raw_size);
+    progress.CountChunk();
+    BeatStage(obs::HeartbeatStage::kRead);
+    // Database chunks are cached too (pre-fetching works for both sources,
+    // §3.1) and arrive already loaded.
+    HandleEvictions(
+        parent->cache_.Insert(cm.chunk_index, ptr, /*loaded=*/true));
+    EndRead(std::nullopt, std::move(ptr), /*last=*/false);
+  }
+
+  void RawStep(const ChunkMetadata& cm) {
+    if (raw_file == nullptr) {
+      auto file = RandomAccessFile::Open(meta.raw_path, parent->raw_limiter_,
+                                         &parent->raw_io_stats_);
+      if (!file.ok()) return ReadFailed(file.status());
+      raw_file = std::move(*file);
+    }
+    std::optional<TextChunk> chunk;
+    {
+      ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
+      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
+      obs::SpanRecorder span(parent->tracer(), parent->profile_.read_latency,
+                             obs::TraceStage::kRead, obs::ChunkSource::kRaw,
+                             cm.chunk_index);
+      ScopedTimer timer(&parent->profile_.read_time);
+      SpeculationStats spec;
+      auto read = ReadChunkAt(*raw_file, cm, parent->buffer_pool_.get(),
+                              Dialect(), ScanPool(), &spec);
+      parent->profile_.AddTokenizeRanges(spec.ranges);
+      parent->profile_.AddTokenizeMisspeculations(spec.misspeculations);
+      parent->profile_.AddTokenizeRepairBytes(spec.repair_bytes);
+      if (!read.ok()) return ReadFailed(read.status());
+      chunk = std::move(*read);
+    }
+    obs::FlightRecord(obs::FlightEvent::kRead, cm.chunk_index, cm.raw_size);
+    parent->profile_.CountFromRaw();
+    BeatStage(obs::HeartbeatStage::kRead);
+    EndRead(std::move(chunk), nullptr, /*last=*/false);
+  }
+
+  void TokenizeStep(TextChunk chunk) {
+    // The chunk is shared by the TOKENIZE and PARSE steps; wrapping it
+    // through the pool returns its text buffer for reuse only when the last
+    // holder lets go.
+    auto text =
+        ChunkBufferPool::WrapText(std::move(chunk), parent->buffer_pool_);
+    // Positional map cache (§2): a cached map that already covers the needed
+    // fields skips TOKENIZE outright; a partial one is extended from its last
+    // mapped attribute. A map cached under a different dialect is dropped by
+    // the cache and counts as a miss.
+    const bool use_map_cache = parent->options_.cache_positional_maps;
+    std::shared_ptr<const PositionalMap> map;
+    if (use_map_cache) {
+      PosmapOrigin origin = PosmapOrigin::kBuilt;
+      map = parent->positional_maps_.Lookup(text->chunk_index, map_dialect,
+                                            &origin);
+      if (map != nullptr) {
+        posmap_hits.fetch_add(1, std::memory_order_relaxed);
+        if (origin == PosmapOrigin::kDisk) {
+          posmap_disk_hits.fetch_add(1, std::memory_order_relaxed);
+          parent->profile_.CountPosmapDiskChunk();
+        }
+      } else {
+        posmap_misses.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (map == nullptr || map->fields_per_row() < topts.EffectiveFields()) {
+      auto built = Tokenize(*text, map.get());
+      // The extend path scans only the unmapped suffix, but the whole chunk
+      // was subjected to TOKENIZE-stage work; count it all — the
+      // fully-mapped skip path above is the only zero-byte outcome.
+      parent->profile_.AddBytesTokenized(text->data.size());
+      map.reset();
+      if (built.ok()) {
+        obs::FlightRecord(obs::FlightEvent::kTokenize, text->chunk_index,
+                          built->num_rows());
+        auto shared = std::make_shared<PositionalMap>(std::move(*built));
+        if (use_map_cache) {
+          parent->positional_maps_.Insert(text->chunk_index, shared,
+                                          map_dialect);
+        }
+        map = std::move(shared);
+      } else {
+        ReportError(built.status());
+      }
+    }
+    bool spawn = false;
+    {
+      MutexLock lock(mu);
+      --tokenizing;
+      if (map != nullptr) pos.push_back(Tokenized{text, std::move(map)});
+      spawn = SpawnLocked();
+    }
+    SubmitRunner(spawn);
+  }
+
+  // TOKENIZE of one chunk, extending `partial` (a cached map missing some
+  // needed fields) when there is one.
+  Result<PositionalMap> Tokenize(const TextChunk& text,
+                                 const PositionalMap* partial) {
     obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
                                           obs::HeartbeatStage::kTokenize);
-    SpeculationStats spec;
-    auto map = [&]() -> Result<PositionalMap> {
-      obs::SpanRecorder span(parent->tracer(),
-                             parent->profile_.tokenize_latency,
-                             obs::TraceStage::kTokenize,
-                             obs::ChunkSource::kRaw, text->chunk_index);
-      ScopedTimer timer(&parent->profile_.tokenize_time);
+    obs::SpanRecorder span(parent->tracer(), parent->profile_.tokenize_latency,
+                           obs::TraceStage::kTokenize, obs::ChunkSource::kRaw,
+                           text.chunk_index);
+    ScopedTimer timer(&parent->profile_.tokenize_time);
+    if (!json && partial == nullptr && parent->options_.parallel_tokenize) {
+      // Speculative parallel tier: byte ranges fan out over idle pool
+      // workers while this step claims ranges too. Busy time reaches the
+      // span profiler as one span per range from whichever thread ran it
+      // (no outer kTokenize scope, or the ranges would be double-counted).
       ParallelTokenizeOptions ptopts;
-      ptopts.pool = &pool;
+      ptopts.pool = ScanPool();
       ptopts.range_span = [this](size_t, int64_t start, int64_t dur) {
         profiler.RecordSpan(obs::QueryStage::kTokenize,
                             obs::CurrentThreadId(), start, dur);
       };
-      return ParallelTokenizeChunk(*text, topts, ptopts, &spec);
-    }();
-    parent->profile_.AddTokenizeRanges(spec.ranges);
-    parent->profile_.AddTokenizeMisspeculations(spec.misspeculations);
-    parent->profile_.AddTokenizeRepairBytes(spec.repair_bytes);
-    parent->profile_.AddBytesTokenized(text->data.size());
-    if (map.ok()) {
-      obs::FlightRecord(obs::FlightEvent::kTokenize, text->chunk_index,
-                        map->num_rows());
-      auto shared = std::make_shared<PositionalMap>(std::move(*map));
-      if (use_map_cache) {
-        parent->positional_maps_.Insert(text->chunk_index, shared, dialect);
-      }
-      pos_q.Push(Tokenized{text, std::move(shared)});
-    } else {
-      ReportError(map.status());
+      SpeculationStats spec;
+      auto map = ParallelTokenizeChunk(text, topts, ptopts, &spec);
+      parent->profile_.AddTokenizeRanges(spec.ranges);
+      return map;
     }
-  }
-
-  void TokenizeLoop() {
-    TokenizeOptions topts;
-    topts.delimiter = meta.schema.delimiter();
-    topts.schema_fields = meta.schema.num_columns();
-    // Selective tokenizing: stop the scan after the last needed attribute.
-    // (JSON members are unordered, so its tokenizer always maps the full
-    // schema and selective tokenizing does not apply.)
-    const bool json = parent->options_.raw_format == RawFormat::kJsonLines;
-    size_t max_needed = 0;
-    for (size_t c : required_columns) max_needed = std::max(max_needed, c + 1);
-    topts.max_fields = json ? 0 : max_needed;
-    topts.quoted = Dialect().quoted;
-
-    const bool use_map_cache = parent->options_.cache_positional_maps;
-    // Must match TokenizeDialectFor: the dialect tag under which maps are
-    // cached, persisted, and validated.
-    const PosmapDialect dialect{topts.delimiter, topts.quoted, topts.quote};
-    while (auto item = text_q.Pop()) {
-      // The chunk is shared by the TOKENIZE and PARSE tasks; wrapping it
-      // through the pool returns its text buffer for reuse only when the
-      // last holder lets go.
-      auto text =
-          ChunkBufferPool::WrapText(std::move(*item), parent->buffer_pool_);
-      // Positional map cache (§2): a cached map that already covers the
-      // needed fields skips TOKENIZE outright; a partial one is extended
-      // from its last mapped attribute. A map cached under a different
-      // dialect is dropped by the cache and counts as a miss.
-      std::shared_ptr<const PositionalMap> cached;
-      if (use_map_cache) {
-        PosmapOrigin origin = PosmapOrigin::kBuilt;
-        cached = parent->positional_maps_.Lookup(text->chunk_index, dialect,
-                                                 &origin);
-        if (cached != nullptr) {
-          posmap_hits.fetch_add(1, std::memory_order_relaxed);
-          if (origin == PosmapOrigin::kDisk) {
-            posmap_disk_hits.fetch_add(1, std::memory_order_relaxed);
-            parent->profile_.CountPosmapDiskChunk();
-          }
-        } else {
-          posmap_misses.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (cached != nullptr &&
-            cached->fields_per_row() >= topts.EffectiveFields()) {
-          pos_q.Push(Tokenized{text, cached});
-          continue;
-        }
-      }
-      // Speculative parallel tier (on by default). Chunks with a cached
-      // partial map stay on the sequential extend path — the cached offsets
-      // already skip most of the scan. Chunks too small to split across two
-      // ranges (ParallelTokenizeOptions::min_range_bytes) also stay on the
-      // submit path: tokenizing them inline would stall this consumer for
-      // no fan-out, while a pool task overlaps with the next Pop.
-      constexpr size_t kMinParallelBytes = 2 * (size_t{1} << 16);
-      if (!json && cached == nullptr && ScanPool() != nullptr &&
-          text->data.size() >= kMinParallelBytes) {
-        TokenizeParallel(text, topts, dialect, use_map_cache);
-        continue;
-      }
-      {
-        MutexLock lock(inflight_mu);
-        ++tokenize_inflight;
-      }
-      pool.Submit([this, text, topts, dialect, cached, use_map_cache, json] {
-        obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                              obs::HeartbeatStage::kTokenize);
-        auto map = [&]() -> Result<PositionalMap> {
-          obs::SpanProfiler::Scope pspan(&profiler,
-                                         obs::QueryStage::kTokenize);
-          obs::SpanRecorder span(parent->tracer(),
-                                 parent->profile_.tokenize_latency,
-                                 obs::TraceStage::kTokenize,
-                                 obs::ChunkSource::kRaw, text->chunk_index);
-          ScopedTimer timer(&parent->profile_.tokenize_time);
-          if (json) return TokenizeJsonChunk(*text, meta.schema);
-          // Delimited text: extend a cached partial map when available.
-          return cached != nullptr && !cached->explicit_ends()
-                     ? ExtendTokenizeMap(*text, *cached, topts)
-                     : TokenizeChunk(*text, topts);
-        }();
-        // The extend path scans only the unmapped suffix, but the whole
-        // chunk was subjected to TOKENIZE-stage work; count it all — the
-        // fully-mapped skip path above is the only zero-byte outcome.
-        parent->profile_.AddBytesTokenized(text->data.size());
-        if (map.ok()) {
-          obs::FlightRecord(obs::FlightEvent::kTokenize, text->chunk_index,
-                            map->num_rows());
-          auto shared = std::make_shared<PositionalMap>(std::move(*map));
-          if (use_map_cache) {
-            parent->positional_maps_.Insert(text->chunk_index, shared,
-                                            dialect);
-          }
-          pos_q.Push(Tokenized{text, std::move(shared)});
-        } else {
-          ReportError(map.status());
-        }
-        MutexLock lock(inflight_mu);
-        --tokenize_inflight;
-        inflight_cv.NotifyAll();
-      });
-    }
-    {
-      MutexLock lock(inflight_mu);
-      while (tokenize_inflight != 0) inflight_cv.Wait(lock);
-    }
-    pos_q.Close();
+    obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kTokenize);
+    if (json) return TokenizeJsonChunk(text, meta.schema);
+    // Delimited text: extend a cached partial map when available.
+    return partial != nullptr && !partial->explicit_ends()
+               ? ExtendTokenizeMap(text, *partial, topts)
+               : TokenizeChunk(text, topts);
   }
 
   // Push-down selection applies only when nothing downstream keeps chunk
@@ -652,80 +769,53 @@ struct ScanRaw::QueryRun::Impl {
            skip_filter.has_value();
   }
 
-  void ParseLoop() {
-    ParseOptions popts;
-    popts.projected_columns = required_columns;
-    popts.recycler = parent->buffer_pool_.get();
-    popts.unescape_quotes = Dialect().quoted;
-    if (PushdownActive()) {
-      popts.pushdown = PushdownFilter{skip_filter->column, skip_filter->lo,
-                                      skip_filter->hi};
-    }
-
-    while (auto item = pos_q.Pop()) {
-      {
-        MutexLock lock(inflight_mu);
-        ++parse_inflight;
-      }
-      Tokenized tokenized = std::move(*item);
-      pool.Submit([this, tokenized, popts] {
-        obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                              obs::HeartbeatStage::kParse);
-        auto parsed = [&] {
-          obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kParse);
-          obs::SpanRecorder span(parent->tracer(),
-                                 parent->profile_.parse_latency,
-                                 obs::TraceStage::kParse,
-                                 obs::ChunkSource::kRaw,
-                                 tokenized.text->chunk_index);
-          ScopedTimer timer(&parent->profile_.parse_time);
-          return ParseChunk(*tokenized.text, *tokenized.map, meta.schema,
-                            popts);
-        }();
-        if (parsed.ok()) {
-          obs::FlightRecord(obs::FlightEvent::kParse,
-                            tokenized.text->chunk_index,
-                            parsed->num_rows());
-          progress.AddBytes(tokenized.text->data.size());
-          progress.CountChunk();
-          parent->profile_.AddRowsDelivered(parsed->num_rows());
-          parent->profile_.AddBytesConverted(tokenized.text->data.size());
-          DeliverConverted(ChunkBufferPool::WrapChunk(std::move(*parsed),
-                                                      parent->buffer_pool_));
-        } else {
-          ReportError(parsed.status());
-        }
-        MutexLock lock(inflight_mu);
-        --parse_inflight;
-        inflight_cv.NotifyAll();
-      });
-    }
+  void ParseStep(Tokenized tokenized) {
+    BinaryChunkPtr chunk;
     {
-      MutexLock lock(inflight_mu);
-      while (parse_inflight != 0) inflight_cv.Wait(lock);
+      obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
+                                            obs::HeartbeatStage::kParse);
+      auto parsed = [&] {
+        obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kParse);
+        obs::SpanRecorder span(parent->tracer(), parent->profile_.parse_latency,
+                               obs::TraceStage::kParse, obs::ChunkSource::kRaw,
+                               tokenized.text->chunk_index);
+        ScopedTimer timer(&parent->profile_.parse_time);
+        return ParseChunk(*tokenized.text, *tokenized.map, meta.schema, popts);
+      }();
+      if (parsed.ok()) {
+        obs::FlightRecord(obs::FlightEvent::kParse,
+                          tokenized.text->chunk_index, parsed->num_rows());
+        progress.AddBytes(tokenized.text->data.size());
+        progress.CountChunk();
+        parent->profile_.AddRowsDelivered(parsed->num_rows());
+        parent->profile_.AddBytesConverted(tokenized.text->data.size());
+        chunk = DeliverConverted(ChunkBufferPool::WrapChunk(
+            std::move(*parsed), parent->buffer_pool_));
+      } else {
+        ReportError(parsed.status());
+      }
     }
-    // End of scan: every raw chunk is converted and resident (or already
-    // delivered). The safeguard flushes the unloaded cache tail (§4).
-    if (parent->options_.policy == LoadPolicy::kSpeculativeLoading &&
-        parent->options_.safeguard_enabled && GetStatus().ok()) {
-      parent->SafeguardFlush();
+    bool spawn = false;
+    {
+      MutexLock lock(mu);
+      --parsing;
+      if (chunk != nullptr) out.push_back(std::move(chunk));
+      spawn = SpawnLocked();
+      cv.NotifyAll();
     }
-    out_q.Close();
+    SubmitRunner(spawn);
   }
 
-  // Caches a freshly converted chunk, applies the WRITE policy, and hands
-  // the chunk to the execution engine.
-  void DeliverConverted(BinaryChunkPtr chunk) {
+  // Caches a freshly converted chunk and applies the WRITE policy; returns
+  // the chunk for the execution engine.
+  BinaryChunkPtr DeliverConverted(BinaryChunkPtr chunk) {
     const uint64_t index = chunk->chunk_index();
     obs::FlightRecord(obs::FlightEvent::kDeliver, index, chunk->num_rows());
     // Crash point for the recovery matrix: a chunk has been extracted
     // (tokenized + parsed) but nothing about it has been persisted yet.
     FaultKillPoint("scanraw.extract.converted");
-    if (PushdownActive()) {
-      // Filtered chunks are incomplete: deliver to the engine only.
-      out_q.Push(std::move(chunk));
-      return;
-    }
+    // Filtered chunks are incomplete: deliver to the engine only.
+    if (PushdownActive()) return chunk;
     if (parent->options_.collect_sketches) {
       parent->MaybeUpdateSketches(*chunk);
     }
@@ -742,7 +832,7 @@ struct ScanRaw::QueryRun::Impl {
       case LoadPolicy::kBufferedLoading:
         break;  // nothing on the conversion path
     }
-    out_q.Push(std::move(chunk));
+    return chunk;
   }
 
   // Invisible loading: spend one unit of the per-query quota on this chunk
@@ -772,19 +862,23 @@ struct ScanRaw::QueryRun::Impl {
     }
   }
 
+  // Waits for this query's runner tasks (never for the whole pool).
   void JoinAll() {
     if (joined) return;
     joined = true;
-    if (read_thread.joinable()) read_thread.join();
-    if (tokenize_thread.joinable()) tokenize_thread.join();
-    if (parse_thread.joinable()) parse_thread.join();
-    pool.WaitIdle();
+    bool clean = false;
+    {
+      MutexLock lock(mu);
+      while (runners != 0) cv.Wait(lock);
+      clean = !abandoned && first_error.ok();
+    }
+    read_heartbeat.reset();
     // A cleanly drained pipeline pins the tracker to 100% so the reporter's
     // final callback always reports completion — even when totals were
     // estimates (discovery scans) or rounding left the fraction short.
     // Abandoned or failed runs skip the pin: their final callback reports
     // honest partial progress.
-    if (!abandoned && GetStatus().ok()) progress.MarkComplete();
+    if (clean) progress.MarkComplete();
     // Stop after the pipeline drains so the final sample reflects the
     // settled end state.
     if (sampler != nullptr) sampler->Stop();
@@ -792,11 +886,10 @@ struct ScanRaw::QueryRun::Impl {
   }
 
   void Abandon() {
-    abandoned = true;
-    // Unblock producers so JoinAll terminates even with a full pipeline.
-    text_q.Close();
-    pos_q.Close();
-    out_q.Close();
+    {
+      MutexLock lock(mu);
+      abandoned = true;  // running steps finish; nothing new is claimed
+    }
     JoinAll();
     // Only now: the profiler/progress objects are about to be destroyed, so
     // background writes that continue past this run are no longer ours.
@@ -805,19 +898,32 @@ struct ScanRaw::QueryRun::Impl {
     parent->UnregisterObservers(&profiler, &progress);
   }
 
-  ScanRaw* parent;
-  std::vector<size_t> required_columns;
-  std::optional<RangePredicate> skip_filter;
-  TableMetadata meta;
+  ScanRaw* const parent;
+  const std::vector<size_t> required_columns;
+  const std::optional<RangePredicate> skip_filter;
+  const TableMetadata meta;
+  const size_t max_tasks;  // num_workers: this query's concurrent runners
+  const size_t text_capacity;
+  const size_t pos_capacity;
+  const size_t out_capacity;
+  const bool json;
+  const TokenizeOptions topts;
+  const PosmapDialect map_dialect;
+  const ParseOptions popts;
 
-  BoundedQueue<TextChunk> text_q;
-  BoundedQueue<Tokenized> pos_q;
-  BoundedQueue<BinaryChunkPtr> out_q;
-  ThreadPool pool;
+  // Set by Start: cache hits, consumed by Next() on the caller's thread,
+  // then the chunks READ fetches, database-resident ones first.
+  std::vector<std::pair<uint64_t, BinaryChunkPtr>> cached;
+  size_t next_cached = 0;
+  std::vector<const ChunkMetadata*> to_read;
+  size_t db_count = 0;
 
-  std::thread read_thread;
-  std::thread tokenize_thread;
-  std::thread parse_thread;
+  // READ state, touched by one READ step at a time.
+  std::unique_ptr<SequentialChunker> chunker;
+  SpeculationStats spec_seen;
+  std::unique_ptr<RandomAccessFile> raw_file;
+  std::optional<obs::StageHeartbeats::Scope> read_heartbeat;
+
   std::unique_ptr<obs::ResourceSampler> sampler;
   // Query-scoped observability: every stage records spans here, and the
   // progress tracker feeds the optional reporter thread.
@@ -825,12 +931,24 @@ struct ScanRaw::QueryRun::Impl {
   obs::ProgressTracker progress;
   std::unique_ptr<obs::ProgressReporter> reporter;
   bool joined = false;
-  bool abandoned = false;
 
-  Mutex inflight_mu{LockRank::kScanInflight, "ScanRaw.inflight_mu"};
-  CondVar inflight_cv;
-  size_t tokenize_inflight GUARDED_BY(inflight_mu) = 0;
-  size_t parse_inflight GUARDED_BY(inflight_mu) = 0;
+  mutable Mutex mu{LockRank::kScanInflight, "ScanRaw.query_mu"};
+  CondVar cv;  // output, scan completion, errors, runner exits
+  std::deque<TextChunk> text GUARDED_BY(mu);
+  std::deque<Tokenized> pos GUARDED_BY(mu);
+  std::deque<BinaryChunkPtr> out GUARDED_BY(mu);
+  size_t next_read GUARDED_BY(mu) = 0;
+  bool read_busy GUARDED_BY(mu) = false;
+  bool read_done GUARDED_BY(mu) = false;
+  size_t tokenizing GUARDED_BY(mu) = 0;
+  size_t parsing GUARDED_BY(mu) = 0;
+  // Runner tasks submitted and not yet exited; queued_runners of them have
+  // not started.
+  size_t runners GUARDED_BY(mu) = 0;
+  size_t queued_runners GUARDED_BY(mu) = 0;
+  bool end_of_scan GUARDED_BY(mu) = false;
+  bool abandoned GUARDED_BY(mu) = false;
+  Status first_error GUARDED_BY(mu);
 
   // Query-scoped positional-map accounting, counted at the TOKENIZE lookup
   // sites. EXPLAIN reads these instead of deltas over the cache's lifetime
@@ -841,9 +959,6 @@ struct ScanRaw::QueryRun::Impl {
   std::atomic<uint64_t> posmap_disk_hits{0};
 
   std::atomic<int64_t> invisible_budget;
-
-  mutable Mutex status_mu{LockRank::kScanStatus, "ScanRaw.status_mu"};
-  Status first_error GUARDED_BY(status_mu);
 };
 
 ScanRaw::QueryRun::QueryRun(std::unique_ptr<Impl> impl)
@@ -854,13 +969,7 @@ ScanRaw::QueryRun::~QueryRun() {
 }
 
 Result<std::optional<BinaryChunkPtr>> ScanRaw::QueryRun::Next() {
-  auto item = impl_->out_q.Pop();
-  if (item.has_value()) {
-    return std::optional<BinaryChunkPtr>(std::move(*item));
-  }
-  Status s = impl_->GetStatus();
-  if (!s.ok()) return s;
-  return std::optional<BinaryChunkPtr>();
+  return impl_->Next();
 }
 
 void ScanRaw::QueryRun::Finish() { impl_->JoinAll(); }
@@ -935,6 +1044,7 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
               : 0);
     }
   }
+  // scanraw-lint: allow(thread-spawn) the operator's WRITE stage (§4)
   write_thread_ = std::thread([this] { WriteLoop(); });
 }
 
@@ -1009,7 +1119,17 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
           : 0;
   const uint64_t base_throttle_wait =
       raw_limiter_ != nullptr ? raw_limiter_->total_wait_nanos() : 0;
-  const double loaded_before = LoadedFraction();
+  // The report is filled for an explicit EXPLAIN, and also locally when a
+  // query log is attached: the logged event is the report's counters, so
+  // logging pays the same (cheap) delta reads EXPLAIN does. Only a report
+  // reads the loaded fraction, which copies the table's catalog entry.
+  obs::ExplainReport local_report;
+  obs::ExplainReport* report =
+      explain != nullptr
+          ? explain
+          : (options_.query_log != nullptr ? &local_report : nullptr);
+  const double loaded_before = report != nullptr ? LoadedFraction() : 0.0;
+  const std::vector<size_t> columns = spec.RequiredColumns();
   const int64_t query_start_nanos = RealClock::Instance()->NowNanos();
 
   // On a failed query the full report is unavailable (the profiler may not
@@ -1025,7 +1145,7 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
         static_cast<double>(RealClock::Instance()->NowNanos() -
                             query_start_nanos) *
         1e-9;
-    event.columns = spec.RequiredColumns();
+    event.columns = columns;
     if (spec.predicate.range.has_value()) {
       event.predicate_columns.push_back(spec.predicate.range->column);
     }
@@ -1042,12 +1162,10 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
     obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/1, /*b=*/0);
   };
 
-  obs::FlightRecord(obs::FlightEvent::kQueryBegin,
-                    spec.RequiredColumns().size(),
+  obs::FlightRecord(obs::FlightEvent::kQueryBegin, columns.size(),
                     static_cast<uint64_t>(options_.policy));
 
-  std::optional<RangePredicate> skip_filter = spec.predicate.range;
-  auto run = StartQuery(spec.RequiredColumns(), skip_filter);
+  auto run = StartQuery(columns, spec.predicate.range);
   if (!run.ok()) {
     log_failure(run.status());
     return run.status();
@@ -1075,14 +1193,6 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
     }
   }
 
-  // The report is filled for an explicit EXPLAIN, and also locally when a
-  // query log is attached: the logged event is the report's counters, so
-  // logging pays the same (cheap) delta reads EXPLAIN does.
-  obs::ExplainReport local_report;
-  obs::ExplainReport* report =
-      explain != nullptr
-          ? explain
-          : (options_.query_log != nullptr ? &local_report : nullptr);
   if (report != nullptr) {
     // Include the background-write drain (speculative writes, safeguard
     // flush) in the report's window: EXPLAIN ANALYZE answers "what did this
@@ -1160,7 +1270,7 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
       event.table = report->table;
       event.policy = report->policy;
       event.wall_seconds = report->wall_seconds;
-      event.columns = spec.RequiredColumns();
+      event.columns = columns;
       if (spec.predicate.range.has_value()) {
         event.predicate_columns.push_back(spec.predicate.range->column);
       }
@@ -1272,7 +1382,7 @@ Result<std::vector<QueryResult>> ScanRaw::ExecuteQueries(
 
 PosmapDialect TokenizeDialectFor(const Schema& schema,
                                  const ScanRawOptions& options) {
-  // Mirrors the TokenizeOptions built in TokenizeLoop: the schema's
+  // Mirrors the TokenizeOptions a query's TOKENIZE steps use: the schema's
   // delimiter, RecordDialect's quoting rule (quoting applies to delimited
   // text only), and the tokenizer's fixed quote character.
   PosmapDialect dialect;

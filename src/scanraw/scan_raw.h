@@ -109,6 +109,11 @@ struct PipelineProfile {
   obs::Counter* tokenize_repair_metric = nullptr;
   obs::Counter* bytes_tokenized_metric = nullptr;
   obs::Counter* posmap_disk_metric = nullptr;
+  // Query steps run on the shared worker pool, and this operator's runner
+  // tasks executing or queued there (delta-updated gauges).
+  obs::Counter* pool_tasks_metric = nullptr;
+  obs::Gauge* pool_busy_metric = nullptr;
+  obs::Gauge* pool_queue_metric = nullptr;
 
   // Resolves the registry mirrors under the "scanraw." prefix. Call before
   // the pipeline runs.
@@ -237,7 +242,7 @@ class ScanRaw {
   // A single query's pass over the file. Delivers every chunk exactly once,
   // cached chunks first, then database-resident chunks, then raw chunks
   // (§3.2.1). Obtain via StartQuery; drain with Next() until nullopt; the
-  // destructor joins the pipeline (abandoning early is safe).
+  // destructor waits for the run's tasks (abandoning early is safe).
   class QueryRun : public ChunkStream {
    public:
     ~QueryRun() override;
@@ -246,12 +251,13 @@ class ScanRaw {
 
     Result<std::optional<BinaryChunkPtr>> Next() override;
 
-    // Joins this query's pipeline threads (idempotent; the destructor calls
-    // it). Background loading keeps draining on the operator's WRITE thread
-    // so the safeguard flush overlaps with the next query (§4).
+    // Waits for this query's running tasks, never for the whole pool
+    // (idempotent; the destructor calls it). Background loading keeps
+    // draining on the operator's WRITE thread so the safeguard flush
+    // overlaps with the next query (§4).
     void Finish();
 
-    // First error raised by any pipeline thread (OK if none).
+    // First error raised by any pipeline step (OK if none).
     Status status() const;
 
     // Point-in-time utilization of the live pipeline (§3.3 resource

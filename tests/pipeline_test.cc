@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -20,26 +21,6 @@ TEST(BoundedQueueTest, FifoOrder) {
   EXPECT_EQ(*q.Pop(), 3);
 }
 
-TEST(BoundedQueueTest, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_TRUE(q.Full());
-  int v = 3;
-  EXPECT_FALSE(q.TryPush(std::move(v)));
-  EXPECT_EQ(q.size(), 2u);
-  q.Pop();
-  EXPECT_TRUE(q.TryPush(3));
-}
-
-TEST(BoundedQueueTest, TryPushFailureLeavesItemIntact) {
-  BoundedQueue<std::string> q(1);
-  EXPECT_TRUE(q.TryPush(std::string("a")));
-  std::string item = "precious";
-  EXPECT_FALSE(q.TryPush(std::move(item)));
-  EXPECT_EQ(item, "precious");  // untouched on failure
-}
-
 TEST(BoundedQueueTest, CloseDrainsThenEnds) {
   BoundedQueue<int> q(4);
   q.Push(7);
@@ -49,7 +30,6 @@ TEST(BoundedQueueTest, CloseDrainsThenEnds) {
   EXPECT_EQ(*q.Pop(), 7);
   EXPECT_EQ(*q.Pop(), 8);
   EXPECT_FALSE(q.Pop().has_value());
-  EXPECT_TRUE(q.closed());
 }
 
 TEST(BoundedQueueTest, CloseUnblocksWaiters) {
@@ -115,40 +95,32 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
   EXPECT_EQ(pool.num_workers(), 0u);
 }
 
+// The pool has no idle wait; tests spin on what their tasks report.
+void AwaitCount(const std::atomic<int>& count, int target) {
+  while (count.load() < target) std::this_thread::yield();
+}
+
 TEST(ThreadPoolTest, ExecutesAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&count] { count.fetch_add(1); });
   }
-  pool.WaitIdle();
+  AwaitCount(count, 100);
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPoolTest, TasksRunOnWorkerThreads) {
   ThreadPool pool(2);
+  std::atomic<int> ran{0};
   std::atomic<bool> different{false};
   const auto caller = std::this_thread::get_id();
   pool.Submit([&] {
     if (std::this_thread::get_id() != caller) different = true;
+    ran = 1;
   });
-  pool.WaitIdle();
+  AwaitCount(ran, 1);
   EXPECT_TRUE(different.load());
-}
-
-TEST(ThreadPoolTest, WaitIdleBlocksUntilDone) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      done.fetch_add(1);
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 8);
-  EXPECT_EQ(pool.busy_workers(), 0u);
-  EXPECT_EQ(pool.queued_tasks(), 0u);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
@@ -160,13 +132,15 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   EXPECT_EQ(count.load(), 50);
 }
 
-TEST(ThreadPoolTest, IdleCallbackFires) {
-  ThreadPool pool(2);
-  std::atomic<int> idle_events{0};
-  pool.SetIdleCallback([&idle_events] { idle_events.fetch_add(1); });
-  for (int i = 0; i < 10; ++i) pool.Submit([] {});
-  pool.WaitIdle();
-  EXPECT_GT(idle_events.load(), 0);
+TEST(ThreadPoolTest, SharedPoolIsOneProcessWidePool) {
+  ThreadPool& pool = ThreadPool::Shared();
+  EXPECT_EQ(&pool, &ThreadPool::Shared());
+  EXPECT_EQ(pool.num_workers(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  std::atomic<int> count{0};
+  for (int i = 0; i < 20; ++i) pool.Submit([&count] { count.fetch_add(1); });
+  AwaitCount(count, 20);
+  EXPECT_EQ(count.load(), 20);
 }
 
 }  // namespace

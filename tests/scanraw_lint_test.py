@@ -637,12 +637,110 @@ class LintTest(unittest.TestCase):
         code, out = self.lint("src/io/foo.cc")
         self.assertEqual(code, 0, out)
 
+    def test_wait_first_in_unconditional_loop_caught(self):
+        # The timer-thread bug: a Stop() before the wait sleeps a whole
+        # interval because the stop flag is only read after waking.
+        self.write("src/io/foo.cc",
+                   "void F() {\n  while (true) {\n    {\n"
+                   "      MutexLock lock(mu_);\n"
+                   "      cv_.WaitFor(lock, interval);\n"
+                   "      if (stop_) return;\n    }\n    Tick();\n  }\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("[condvar-wait-loop]", out)
+        self.assertIn("before any predicate check", out)
+
+    def test_wait_first_in_for_ever_loop_caught(self):
+        self.write("src/io/foo.cc",
+                   "void F() {\n  MutexLock lock(mu_);\n"
+                   "  for (;;) {\n    cv_.Wait(lock);\n"
+                   "    if (stop_) return;\n  }\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("[condvar-wait-loop]", out)
+
+    def test_guarded_wait_in_unconditional_loop_passes(self):
+        self.write("src/io/foo.cc",
+                   "void F() {\n  while (true) {\n    {\n"
+                   "      MutexLock lock(mu_);\n"
+                   "      if (!stop_) cv_.WaitFor(lock, interval);\n"
+                   "      if (stop_) return;\n    }\n    Tick();\n  }\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_check_then_wait_in_unconditional_loop_passes(self):
+        # The rate-limiter shape: the predicate returns before the wait.
+        self.write("src/io/foo.cc",
+                   "void F() {\n  MutexLock lock(mu_);\n  while (true) {\n"
+                   "    if (available_ >= need) {\n      return;\n    }\n"
+                   "    cv_.WaitFor(lock, wait);\n  }\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_wait_in_multiline_while_passes(self):
+        self.write("src/io/foo.cc",
+                   "void F() {\n  while (true) {\n"
+                   "    MutexLock lock(mu_);\n"
+                   "    while (queue_.empty() && !closed_ &&\n"
+                   "           !stop_) {\n"
+                   "      cv_.Wait(lock);\n    }\n    Work();\n  }\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 0, out)
+
     def test_condvar_wait_loop_suppressed(self):
         self.write("src/io/foo.cc",
                    "void F() {\n"
                    "  // scanraw-lint: allow(condvar-wait-loop)\n"
                    "  cv_.Wait(lock);\n}\n")
         code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 0, out)
+
+    # ---- thread-spawn ----
+
+    def test_thread_spawn_caught(self):
+        self.write("src/io/foo.cc",
+                   "void F() {\n  std::thread t([] { Work(); });\n"
+                   "  t.join();\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("[thread-spawn]", out)
+
+    def test_thread_spawn_assignment_and_async_caught(self):
+        self.write("src/io/foo.cc",
+                   "void F() {\n  thread_ = std::thread([this] { Loop(); });\n"
+                   "  auto f = std::async(Work);\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[thread-spawn]"), 2, out)
+
+    def test_thread_spawn_allowed_with_reason_passes(self):
+        self.write("src/io/foo.cc",
+                   "void F() {\n"
+                   "  // scanraw-lint: allow(thread-spawn) one per process\n"
+                   "  thread_ = std::thread([this] { Loop(); });\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_thread_spawn_allow_without_reason_caught(self):
+        self.write("src/io/foo.cc",
+                   "void F() {\n"
+                   "  // scanraw-lint: allow(thread-spawn)\n"
+                   "  thread_ = std::thread([this] { Loop(); });\n}\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("[thread-spawn]", out)
+
+    def test_thread_type_mentions_pass(self):
+        self.write("src/io/foo.cc",
+                   "std::thread thread_;\nstd::vector<std::thread> threads_;\n"
+                   "const size_t n = std::thread::hardware_concurrency();\n")
+        code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_thread_spawn_in_test_file_passes(self):
+        self.write("src/io/foo_test.cc",
+                   "void F() {\n  std::thread t([] {});\n  t.join();\n}\n")
+        code, out = self.lint("src/io/foo_test.cc")
         self.assertEqual(code, 0, out)
 
     def test_clean_tree_exits_zero(self):

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <thread>
+
 #include "datagen/csv_generator.h"
 #include "io/file.h"
 #include "scanraw/scan_raw.h"
@@ -406,6 +410,153 @@ TEST_P(WorkerSweepTest, SumMatchesGroundTruth) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerSweepTest,
                          testing::Values(0, 1, 2, 4, 8));
+
+size_t CountThreads() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+// Cache hits are handed out on the caller's thread and the worker pool is
+// process-wide, so a cached query starts no thread at all.
+TEST_F(ScanRawTest, CachedQueriesStartNoThreads) {
+  auto options = BaseOptions(LoadPolicy::kExternalTables);
+  options.cache_capacity_chunks = 16;  // whole file fits
+  auto manager = MakeManager(options);
+  ASSERT_TRUE(manager->Query("t", SumAllQuery()).ok());  // fills the cache
+
+  // The poller runs before the baseline is taken, so it counts itself.
+  std::atomic<bool> polling{false};
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> peak{0};
+  std::thread poller([&] {
+    polling = true;
+    while (!stop.load()) {
+      const size_t n = CountThreads();
+      if (n > peak.load()) peak = n;
+    }
+  });
+  while (!polling.load()) std::this_thread::yield();
+  const size_t baseline = CountThreads();
+  int wrong = 0;
+  for (int q = 0; q < 100; ++q) {
+    auto result = manager->Query("t", SumAllQuery());
+    if (!result.ok() || result->total_sum != info_.total_sum) ++wrong;
+  }
+  stop = true;
+  poller.join();
+  EXPECT_EQ(wrong, 0);
+  EXPECT_LE(peak.load(), baseline);
+}
+
+// Two managers queried at once from two client threads share one pool and
+// each gets exact answers.
+TEST_F(ScanRawTest, ConcurrentManagersShareThePool) {
+  auto make = [&](const std::string& suffix) {
+    ScanRawManager::Config config;
+    config.db_path = csv_path_ + suffix;
+    auto manager = ScanRawManager::Create(config);
+    EXPECT_TRUE(manager.ok());
+    auto options = BaseOptions(LoadPolicy::kSpeculativeLoading);
+    options.num_workers = 4;
+    EXPECT_TRUE(
+        (*manager)->RegisterRawFile("t", csv_path_, schema_, options).ok());
+    return std::move(*manager);
+  };
+  std::unique_ptr<ScanRawManager> first = make(".first.db");
+  std::unique_ptr<ScanRawManager> second = make(".second.db");
+  std::atomic<int> wrong{0};
+  auto client = [&](ScanRawManager* manager, size_t column) {
+    QuerySpec one;
+    one.sum_columns = {column};
+    for (int q = 0; q < 6; ++q) {
+      auto all = manager->Query("t", SumAllQuery());
+      if (!all.ok() || all->total_sum != info_.total_sum) ++wrong;
+      auto single = manager->Query("t", one);
+      if (!single.ok() || single->total_sum != info_.column_sums[column]) {
+        ++wrong;
+      }
+    }
+  };
+  std::thread a(client, first.get(), 1);
+  std::thread b(client, second.get(), 6);
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+// Dropping a run right after its first chunk, with READ, TOKENIZE and PARSE
+// steps still in flight, waits for exactly those steps and leaves the
+// operator intact (meaningful under ASan and TSan).
+TEST_F(ScanRawTest, RunDestroyedWithTasksInFlightShutsDownCleanly) {
+  auto options = BaseOptions(LoadPolicy::kSpeculativeLoading);
+  options.num_workers = 4;
+  options.chunk_rows = 100;  // 40 chunks
+  auto manager = MakeManager(options);
+  ScanRaw op("t", manager->catalog(), manager->storage(), manager->arbiter(),
+             nullptr, options);
+  ASSERT_TRUE(op.ExecuteQuery(SumAllQuery()).ok());  // discovers the layout
+  for (int round = 0; round < 20; ++round) {
+    auto run = op.StartQuery({0, 2, 5});
+    ASSERT_TRUE(run.ok());
+    auto first = (*run)->Next();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(first->has_value());
+    run->reset();
+  }
+  auto result = op.ExecuteQuery(SumAllQuery());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_sum, info_.total_sum);
+  op.WaitForWrites();
+}
+
+// num_workers caps a query's concurrently running tasks on the shared pool.
+class WorkerCapTest : public ScanRawTest,
+                      public testing::WithParamInterface<size_t> {};
+
+TEST_P(WorkerCapTest, BusyWorkersNeverExceedTheCap) {
+  auto options = BaseOptions(LoadPolicy::kExternalTables);
+  options.num_workers = GetParam();
+  options.cache_capacity_chunks = 0;  // every query converts every chunk
+  auto manager = MakeManager(options);
+  ScanRaw op("t", manager->catalog(), manager->storage(), manager->arbiter(),
+             nullptr, options);
+  for (int q = 0; q < 3; ++q) {  // the discovery scan, then re-scans
+    auto run = op.StartQuery({});
+    ASSERT_TRUE(run.ok());
+    ScanRaw::QueryRun* query = run->get();
+    std::atomic<bool> done{false};
+    std::atomic<size_t> peak{0};
+    std::thread sampler([&] {
+      while (!done.load()) {
+        const size_t busy = query->Resources().busy_workers;
+        if (busy > peak.load()) peak = busy;
+      }
+    });
+    QueryExecutor executor(SumAllQuery());
+    Status status;
+    while (true) {
+      auto next = query->Next();
+      if (!next.ok()) status = next.status();
+      if (!next.ok() || !next->has_value()) break;
+      status = executor.Consume(***next);
+      if (!status.ok()) break;
+    }
+    query->Finish();
+    done = true;
+    sampler.join();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(executor.Finish().total_sum, info_.total_sum);
+    EXPECT_LE(peak.load(), GetParam());
+    EXPECT_EQ(query->Resources().busy_workers, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Caps, WorkerCapTest, testing::Values(1, 2, 4));
 
 TEST(DatagenTest, GeneratedFileMatchesSpec) {
   const std::string path = testing::TempDir() + "/datagen.csv";

@@ -50,7 +50,17 @@ condvar-wait-loop
                  loop (`while`/`for`/`do`, not a bare `if`): condition
                  variables wake spuriously, and an `if` turns a spurious
                  wakeup into a missed-predicate bug that only TSan-sized
-                 schedules expose.
+                 schedules expose. Inside an unconditional loop
+                 (`while (true)`, `for (;;)`) an `if` must check the
+                 predicate before the wait: a wait that runs first sleeps
+                 out a whole interval when Stop() lands before it.
+thread-spawn     Starting a thread (std::thread / std::jthread construction,
+                 pthread_create, std::async) in src/ non-test code. Threads
+                 belong to the process-wide worker pool and a few long-lived
+                 services; every sanctioned site carries
+                 `// scanraw-lint: allow(thread-spawn) <reason>`, so a
+                 per-query thread cannot come back without review. The
+                 allow marker needs the reason.
 
 Suppressions: append `// scanraw-lint: allow(<rule>)` to the offending line
 or place it on the line directly above.
@@ -128,6 +138,17 @@ MUTEX_MEMBER_DECL_RE = re.compile(r"\b(?:mutable\s+)?Mutex\s+\w+\s*[;{]")
 # longer names do not match (the `(` must directly follow Wait/WaitFor).
 WAIT_CALL_RE = re.compile(r"\b\w+\s*(?:\.|->)\s*Wait(?:For)?\s*\(")
 LOOP_KEYWORD_RE = re.compile(r"\b(while|for|do)\b")
+UNCONDITIONAL_LOOP_RE = re.compile(
+    r"\bwhile\s*\(\s*(true|1)\s*\)|\bfor\s*\(\s*;\s*;\s*\)")
+IF_RE = re.compile(r"\bif\s*\(")
+
+# thread-spawn: thread construction, not mentions of the type
+# (`std::thread thread_;`, `std::thread::hardware_concurrency()`).
+THREAD_SPAWN_RE = re.compile(
+    r"\bstd::j?thread\s*(?:\w+\s*)?[({]|\bpthread_create\s*\(|"
+    r"\bstd::async\s*\(")
+ALLOW_THREAD_SPAWN_RE = re.compile(
+    r"//\s*scanraw-lint:\s*allow\(thread-spawn\)\s*\S")
 
 # byte-loop: hot-path directories where per-byte scan loops are banned.
 BYTE_LOOP_DIRS = ("src/format/", "src/scanraw/")
@@ -373,6 +394,20 @@ def check_mutex_rank(rel, lines, findings):
                          "DESIGN.md \"Lock hierarchy\""))
 
 
+def block_header(lines, j):
+    """The statement opening a block on line j: line j joined with the
+    continuation lines above it (a multi-line `while (a &&\\n b) {`)."""
+    parts = [strip_comments(lines[j]).strip()]
+    k = j - 1
+    while k >= 0 and len(parts) < 4:
+        prev = strip_comments(lines[k]).strip()
+        if not prev or prev.startswith("#") or prev.endswith((";", "{", "}")):
+            break
+        parts.insert(0, prev)
+        k -= 1
+    return " ".join(parts)
+
+
 def check_condvar_wait_loop(rel, lines, findings):
     for i, line in enumerate(lines):
         code = strip_comments(line)
@@ -382,10 +417,10 @@ def check_condvar_wait_loop(rel, lines, findings):
             continue  # same-line `while (!ready) cv.Wait(lock);`
         if is_suppressed(lines, i, "condvar-wait-loop"):
             continue
-        # Walk outwards: the wait passes if ANY enclosing block within the
-        # function is a loop (the predicate re-check may sit one level out,
-        # e.g. `for (;;) { { lock; if (!stop_) cv.WaitFor(...); } ... }`).
-        wrapped = False
+        # Walk outwards to the innermost enclosing loop (the predicate
+        # re-check may sit one level out, e.g.
+        # `for (;;) { { lock; if (!stop_) cv.WaitFor(...); } ... }`).
+        loop_line = None
         depth = 0
         min_depth = 0
         lo = max(0, i - MAX_SCOPE_LOOKBACK)
@@ -395,21 +430,45 @@ def check_condvar_wait_loop(rel, lines, findings):
             if depth >= min_depth:
                 continue
             min_depth = depth
-            if LOOP_KEYWORD_RE.search(cj):
-                wrapped = True
-                break
+            header = block_header(lines, j)
             # A bare `{` opener: the loop header may sit on the line above.
-            if cj.strip() == "{" and j > 0 and \
-                    LOOP_KEYWORD_RE.search(strip_comments(lines[j - 1])):
-                wrapped = True
+            if header == "{" and j > 0:
+                header = block_header(lines, j - 1)
+            if LOOP_KEYWORD_RE.search(header):
+                loop_line = (j, header)
                 break
-            if FUNC_START_RE.match(cj) and not CONTROL_KEYWORD_RE.match(cj):
+            if FUNC_START_RE.match(header) and \
+                    not CONTROL_KEYWORD_RE.match(header):
                 break  # reached the function definition: no loop found
-        if not wrapped:
+        if loop_line is None:
             findings.append((rel, i + 1, "condvar-wait-loop",
                              "CondVar wait not wrapped in a predicate loop; "
                              "use `while (!cond) cv.Wait(lock);` (condition "
                              "variables wake spuriously)"))
+            continue
+        j, header = loop_line
+        checked = any(IF_RE.search(strip_comments(lines[k]))
+                      for k in range(j + 1, i + 1))
+        if UNCONDITIONAL_LOOP_RE.search(header) and not checked:
+            findings.append((rel, i + 1, "condvar-wait-loop",
+                             "CondVar wait runs before any predicate check "
+                             "in an unconditional loop; check first "
+                             "(`if (!stop_) cv.WaitFor(...)`) or a Stop() "
+                             "that lands before the wait sleeps a whole "
+                             "interval"))
+
+
+def check_thread_spawn(rel, lines, findings):
+    for i, line in enumerate(lines):
+        if not THREAD_SPAWN_RE.search(strip_comments(line)):
+            continue
+        if any(ALLOW_THREAD_SPAWN_RE.search(lines[k])
+               for k in (i, i - 1) if k >= 0):
+            continue
+        findings.append((rel, i + 1, "thread-spawn",
+                         "thread started outside the sanctioned sites; run "
+                         "the work on ThreadPool::Shared(), or add "
+                         "`// scanraw-lint: allow(thread-spawn) <reason>`"))
 
 
 def is_test_file(rel):
@@ -435,6 +494,7 @@ def lint_file(path, findings):
         check_flight_record_path(rel, lines, findings)
         check_mutex_rank(rel, lines, findings)
         check_condvar_wait_loop(rel, lines, findings)
+        check_thread_spawn(rel, lines, findings)
     check_unchecked_value(rel, lines, findings)
     if rel.endswith(".h"):
         check_include_guard(rel, lines, findings)
