@@ -47,24 +47,6 @@ class Stopwatch {
   std::atomic<int64_t> intervals_{0};
 };
 
-// RAII guard charging the enclosed scope to a Stopwatch.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Stopwatch* watch,
-                       const Clock* clock = RealClock::Instance())
-      : watch_(watch), clock_(clock), start_(clock->NowNanos()) {}
-  ~ScopedTimer() {
-    if (watch_ != nullptr) watch_->AddNanos(clock_->NowNanos() - start_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Stopwatch* watch_;
-  const Clock* clock_;
-  int64_t start_;
-};
-
 }  // namespace scanraw
 
 #endif  // SCANRAW_COMMON_STOPWATCH_H_

@@ -1,10 +1,10 @@
 // ExplainReport: the per-query EXPLAIN ANALYZE artifact. One report is
-// filled per executed query from the SpanProfiler aggregate plus deltas of
-// the pipeline counters taken across the query (chunk provenance, min/max
-// pruning, speculative writes, cache and positional-map hit rates), then
-// rendered as aligned text for the CLI or as JSON for tooling. Pure data +
-// formatting; the filling logic lives with the operators that own the
-// counters (ScanRaw::ExecuteQuery, ScanRawManager::Query).
+// filled per executed query from the SpanProfiler aggregate plus the
+// query's own counts (chunk provenance, min/max pruning, speculative
+// writes, cache and positional-map hit rates), then rendered as aligned
+// text for the CLI or as JSON for tooling. Pure data + formatting; the
+// filling logic lives with the operators that own the counters
+// (ScanRaw::ExecuteQuery, ScanRawManager::Query).
 #ifndef SCANRAW_OBS_EXPLAIN_H_
 #define SCANRAW_OBS_EXPLAIN_H_
 
@@ -74,11 +74,10 @@ struct ExplainReport {
   uint64_t tokenize_misspeculations = 0;
   uint64_t tokenize_repair_bytes = 0;
 
-  // Cache behavior across the query. Positional-map numbers are
-  // query-scoped (counted at the lookup sites, not deltas of shared
-  // counters); posmap_disk_hits is the `posmap-disk` provenance — chunks
-  // whose map came from the persisted sidecar rather than this process's
-  // own TOKENIZE work.
+  // Cache behavior across the query, counted at this query's lookup sites;
+  // posmap_disk_hits is the `posmap-disk` provenance — chunks whose map
+  // came from the persisted sidecar rather than this process's own
+  // TOKENIZE work.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t posmap_hits = 0;

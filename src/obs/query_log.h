@@ -29,7 +29,7 @@
 namespace scanraw {
 namespace obs {
 
-// One logged query. Counter fields mirror ExplainReport's per-query deltas;
+// One logged query. Counter fields mirror the query's ExplainReport counts;
 // the event is what the workload history aggregates.
 struct QueryLogEvent {
   uint64_t seq = 0;            // assigned by QueryLog::Append
@@ -48,7 +48,7 @@ struct QueryLogEvent {
   // Per-stage busy thread-seconds keyed by stage name, from SpanProfiler.
   std::vector<std::pair<std::string, double>> stage_busy_seconds;
 
-  // Chunk provenance and speculative payoff (ExplainReport deltas).
+  // Chunk provenance and speculative payoff (ExplainReport counts).
   uint64_t chunks_from_cache = 0;
   uint64_t chunks_from_db = 0;
   uint64_t chunks_from_raw = 0;

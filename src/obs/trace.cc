@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "obs/metrics.h"
+
 namespace scanraw {
 namespace obs {
 

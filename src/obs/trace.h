@@ -16,7 +16,6 @@
 
 #include "common/clock.h"
 #include "common/thread_annotations.h"
-#include "obs/metrics.h"
 
 namespace scanraw {
 namespace obs {
@@ -92,51 +91,6 @@ class ChunkTracer {
   std::vector<TraceEvent> ring_ GUARDED_BY(mu_);
   // Total recorded; ring slot is next_ % capacity_.
   uint64_t next_ GUARDED_BY(mu_) = 0;
-};
-
-// RAII span: times its scope and records it into the tracer and (when
-// non-null) a latency histogram on destruction. The chunk index is usually
-// known only mid-scope; set it via set_chunk_index.
-class SpanRecorder {
- public:
-  SpanRecorder(ChunkTracer* tracer, Histogram* latency, TraceStage stage,
-               ChunkSource source, uint64_t chunk_index = 0,
-               const Clock* clock = RealClock::Instance())
-      : tracer_(tracer),
-        latency_(latency),
-        clock_(clock),
-        stage_(stage),
-        source_(source),
-        chunk_index_(chunk_index),
-        start_nanos_(clock->NowNanos()) {}
-
-  ~SpanRecorder() {
-    const int64_t dur = clock_->NowNanos() - start_nanos_;
-    if (latency_ != nullptr) {
-      latency_->Record(static_cast<uint64_t>(dur < 0 ? 0 : dur));
-    }
-    if (tracer_ != nullptr && !cancelled_) {
-      tracer_->RecordSpan(stage_, source_, chunk_index_, start_nanos_, dur);
-    }
-  }
-
-  SpanRecorder(const SpanRecorder&) = delete;
-  SpanRecorder& operator=(const SpanRecorder&) = delete;
-
-  void set_chunk_index(uint64_t index) { chunk_index_ = index; }
-  void set_source(ChunkSource source) { source_ = source; }
-  // Suppress the trace event (the latency histogram still records).
-  void Cancel() { cancelled_ = true; }
-
- private:
-  ChunkTracer* tracer_;
-  Histogram* latency_;
-  const Clock* clock_;
-  TraceStage stage_;
-  ChunkSource source_;
-  uint64_t chunk_index_;
-  int64_t start_nanos_;
-  bool cancelled_ = false;
 };
 
 }  // namespace obs

@@ -64,14 +64,6 @@ struct ScanRawOptions {
   // leftmost configuration).
   size_t num_workers = 8;
 
-  // Speculative intra-file parallel TOKENIZE (format/parallel_chunker):
-  // split each chunk into byte ranges, speculate record boundary and quote
-  // parity at each range start, tokenize the ranges concurrently on the
-  // worker pool, and repair only misspeculated ranges. Off = the frozen
-  // sequential SIMD path, kept as the reference tier for equivalence tests
-  // and benches. Ignored for JSON (its tokenizer is per-line already).
-  bool parallel_tokenize = true;
-
   // RFC-4180 quoted-field dialect for delimited text: fields may be quoted,
   // with embedded delimiters, doubled-quote escapes, and quoted newlines.
   // Record discovery and TOKENIZE share one quote-parity FSM; PARSE
@@ -83,16 +75,9 @@ struct ScanRawOptions {
   size_t position_buffer_capacity = 8;
   size_t output_buffer_capacity = 8;
 
-  // Recycle chunk text buffers and column arrays through a per-operator
-  // ChunkBufferPool, so steady-state pipeline iterations reuse capacity
-  // instead of allocating per chunk. Exposed for the ablation bench.
-  bool reuse_buffers = true;
-
-  // Binary chunk cache capacity, in chunks (0 disables caching).
+  // Binary chunk cache capacity, in chunks (0 disables caching). Eviction
+  // is the paper's biased LRU: already-loaded chunks go first.
   size_t cache_capacity_chunks = 32;
-  // Evict already-loaded chunks first (the paper's biased LRU). Exposed so
-  // the ablation bench can turn it off.
-  bool bias_evict_loaded = true;
 
   // Lines per chunk for the first (layout-discovery) scan.
   uint64_t chunk_rows = 1 << 16;
@@ -103,9 +88,6 @@ struct ScanRawOptions {
   // End-of-scan safeguard flush (§4). On by default for speculative
   // loading; exposed for the ablation bench.
   bool safeguard_enabled = true;
-
-  // Collect per-column min/max statistics while loading (§3.3).
-  bool collect_stats = true;
 
   // Durability: fsync the storage file after each segment append, before
   // the catalog records the segment. Keeps the write-ordering invariant
@@ -124,11 +106,9 @@ struct ScanRawOptions {
   // shorten TOKENIZE (§2's positional map; off by default per the §3.1
   // argument that binary-chunk caching dominates it).
   bool cache_positional_maps = false;
+  // Chunk bound of the positional-map cache; a fixed 64 MiB byte bound
+  // applies alongside it.
   size_t positional_map_cache_chunks = 64;
-  // Byte bound for the positional-map cache, enforced alongside the chunk
-  // count; 0 disables the byte bound. A wide-schema table can hit this long
-  // before the chunk bound.
-  size_t positional_map_cache_bytes = 64u << 20;
 
   // Persist the positional-map cache to a sidecar file next to the catalog
   // (`<catalog>.posmap.<table>`) so a restarted process skips TOKENIZE for

@@ -142,7 +142,7 @@ class PositionalMapCache {
 
   // Lifetime lookup outcomes, for /metrics and tests. EXPLAIN's per-query
   // numbers are counted at the lookup sites instead (see ScanRaw), so
-  // concurrent queries cannot pollute each other's deltas.
+  // concurrent queries cannot pollute each other's reports.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   uint64_t dialect_drops() const {

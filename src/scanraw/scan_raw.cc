@@ -68,64 +68,35 @@ ResourceSnapshot::Advice ResourceSnapshot::ComputeAdvice() const {
   return Advice::kBalanced;
 }
 
-void PipelineProfile::Bind(obs::MetricsRegistry* registry) {
-  read_latency = registry->GetHistogram("scanraw.stage.read_nanos");
-  tokenize_latency = registry->GetHistogram("scanraw.stage.tokenize_nanos");
-  parse_latency = registry->GetHistogram("scanraw.stage.parse_nanos");
-  write_latency = registry->GetHistogram("scanraw.stage.write_nanos");
-  from_cache_metric = registry->GetCounter("scanraw.chunks_from_cache");
-  from_db_metric = registry->GetCounter("scanraw.chunks_from_db");
-  from_raw_metric = registry->GetCounter("scanraw.chunks_from_raw");
-  written_metric = registry->GetCounter("scanraw.chunks_written");
-  skipped_metric = registry->GetCounter("scanraw.chunks_skipped");
-  read_blocked_metric = registry->GetCounter("scanraw.read_blocked_events");
-  speculative_metric = registry->GetCounter("scanraw.speculative_triggers");
-  write_failures_metric = registry->GetCounter("scanraw.write_failures");
-  write_backoff_metric = registry->GetCounter("scanraw.write_backoffs");
-  useful_bytes_metric = registry->GetCounter("scanraw.useful_bytes_written");
-  rows_delivered_metric = registry->GetCounter("scanraw.rows_delivered");
-  bytes_converted_metric = registry->GetCounter("scanraw.bytes_converted");
-  tokenize_ranges_metric = registry->GetCounter("scanraw.tokenize.ranges");
-  tokenize_misspec_metric =
-      registry->GetCounter("scanraw.tokenize.misspeculations");
-  tokenize_repair_metric =
-      registry->GetCounter("scanraw.tokenize.repair_bytes");
-  bytes_tokenized_metric = registry->GetCounter("scanraw.tokenize.bytes");
-  posmap_disk_metric = registry->GetCounter("scanraw.posmap.disk_chunks");
-  pool_tasks_metric = registry->GetCounter("scanraw.pool.tasks_submitted");
-  pool_busy_metric = registry->GetGauge("scanraw.pool.busy_workers");
-  pool_queue_metric = registry->GetGauge("scanraw.pool.queue_depth");
-}
-
-void PipelineProfile::Reset() {
-  read_time.Reset();
-  tokenize_time.Reset();
-  parse_time.Reset();
-  write_time.Reset();
-  chunks_from_cache = chunks_from_db = chunks_from_raw = chunks_written = 0;
-  chunks_skipped = read_blocked_events = speculative_triggers = 0;
-  write_failures = write_backoffs = useful_bytes_written = 0;
-  rows_delivered = bytes_converted = 0;
-  tokenize_ranges = tokenize_misspeculations = tokenize_repair_bytes = 0;
-  bytes_tokenized = posmap_disk_chunks = 0;
-  // Registry mirrors follow the same single-threaded-reset contract; the
-  // histograms are shared objects, so this clears the aggregated view too.
-  for (obs::Histogram* h :
-       {read_latency, tokenize_latency, parse_latency, write_latency}) {
-    if (h != nullptr) h->Reset();
-  }
-  for (obs::Counter* c :
-       {from_cache_metric, from_db_metric, from_raw_metric, written_metric,
-        skipped_metric, read_blocked_metric, speculative_metric,
-        write_failures_metric, write_backoff_metric, useful_bytes_metric,
-        rows_delivered_metric, bytes_converted_metric, tokenize_ranges_metric,
-        tokenize_misspec_metric, tokenize_repair_metric,
-        bytes_tokenized_metric, posmap_disk_metric}) {
-    if (c != nullptr) c->Reset();
-  }
-}
-
 namespace {
+
+// What the stage record feeds for each pipeline stage, indexed by
+// obs::QueryStage's READ, TOKENIZE, PARSE and WRITE.
+struct StageSinks {
+  Stopwatch PipelineProfile::*time;
+  const char* latency_metric;
+  obs::TraceStage trace;
+  obs::FlightEvent flight;
+  obs::HeartbeatStage heartbeat;
+};
+constexpr StageSinks kStageSinks[] = {
+    {&PipelineProfile::read_time, "scanraw.stage.read_nanos",
+     obs::TraceStage::kRead, obs::FlightEvent::kRead,
+     obs::HeartbeatStage::kRead},
+    {&PipelineProfile::tokenize_time, "scanraw.stage.tokenize_nanos",
+     obs::TraceStage::kTokenize, obs::FlightEvent::kTokenize,
+     obs::HeartbeatStage::kTokenize},
+    {&PipelineProfile::parse_time, "scanraw.stage.parse_nanos",
+     obs::TraceStage::kParse, obs::FlightEvent::kParse,
+     obs::HeartbeatStage::kParse},
+    {&PipelineProfile::write_time, "scanraw.stage.write_nanos",
+     obs::TraceStage::kWrite, obs::FlightEvent::kWrite,
+     obs::HeartbeatStage::kWrite},
+};
+
+// Byte bound of the positional-map cache, enforced alongside its chunk
+// bound: a wide-schema table can reach it long before the chunk bound.
+constexpr size_t kPositionalMapCacheBytes = 64u << 20;
 
 bool ChunkHasColumns(const BinaryChunk& chunk,
                      const std::vector<size_t>& columns) {
@@ -136,6 +107,31 @@ bool ChunkHasColumns(const BinaryChunk& chunk,
 }
 
 }  // namespace
+
+void PipelineProfile::Bind(obs::MetricsRegistry* registry) {
+  for (size_t i = 0; i < std::size(stage_latency); ++i) {
+    stage_latency[i] = registry->GetHistogram(kStageSinks[i].latency_metric);
+  }
+  for (size_t i = 0; i < std::size(kNamed); ++i) {
+    mirrors[i] = registry->GetCounter(kNamed[i].metric);
+  }
+  pool_tasks_metric = registry->GetCounter("scanraw.pool.tasks_submitted");
+  pool_busy_metric = registry->GetGauge("scanraw.pool.busy_workers");
+  pool_queue_metric = registry->GetGauge("scanraw.pool.queue_depth");
+}
+
+void PipelineProfile::Reset() {
+  // Registry mirrors follow the same single-threaded-reset contract; the
+  // histograms are shared objects, so this clears the aggregated view too.
+  for (size_t i = 0; i < std::size(stage_latency); ++i) {
+    (this->*kStageSinks[i].time).Reset();
+    if (stage_latency[i] != nullptr) stage_latency[i]->Reset();
+  }
+  for (size_t i = 0; i < std::size(kNamed); ++i) {
+    (this->*kNamed[i].field) = 0;
+    if (mirrors[i] != nullptr) mirrors[i]->Reset();
+  }
+}
 
 // ------------------------------------------------------------ QueryRun ----
 
@@ -153,6 +149,98 @@ struct ScanRaw::QueryRun::Impl {
   struct Tokenized {
     std::shared_ptr<TextChunk> text;
     std::shared_ptr<const PositionalMap> map;
+  };
+
+  // A chunk crossing one stage boundary, as the stage record logs it.
+  struct Crossing {
+    obs::ChunkSource source = obs::ChunkSource::kRaw;
+    uint64_t chunk_index = 0;
+    uint64_t bytes = 0;  // raw bytes read or delivered, or bytes stored
+    uint64_t rows = 0;   // rows tokenized or parsed
+    // TOKENIZE ran as byte ranges that recorded their own profiler spans.
+    bool ranged = false;
+  };
+
+  // The stage record (§5's profiling hooks): the one call that logs a chunk
+  // crossing a stage boundary, READ (discovery, database or raw), cache
+  // hit, TOKENIZE, PARSE or WRITE. It reads the clock when constructed at
+  // the start of the stage, and once more in Record(), which feeds every
+  // sink of the boundary from that one interval: the query's SpanProfiler,
+  // the stage's Stopwatch and latency histogram, the chunk tracer, the
+  // flight recorder, the heartbeat board and the progress tracker. A cache
+  // hit feeds only the span, the READ heartbeat and progress. A stage that
+  // produced no chunk (an error, the discovery scan's EOF probe) never
+  // calls Record() and leaves no trace but its heartbeat.
+  class StageRecord {
+   public:
+    StageRecord(ScanRaw* op, obs::QueryStage stage)
+        : op_(op),
+          stage_(stage),
+          start_nanos_(RealClock::Instance()->NowNanos()) {
+      if (HoldsHeartbeat()) op_->heartbeats_->Enter(Sinks().heartbeat);
+    }
+    ~StageRecord() {
+      if (HoldsHeartbeat()) op_->heartbeats_->Leave(Sinks().heartbeat);
+    }
+    StageRecord(const StageRecord&) = delete;
+    StageRecord& operator=(const StageRecord&) = delete;
+
+    // `run` is the query the chunk belongs to; for WRITE, the operator's
+    // active run, or null when no query is running.
+    void Record(Impl* run, const Crossing& c) {
+      const int64_t dur = std::max<int64_t>(
+          0, RealClock::Instance()->NowNanos() - start_nanos_);
+      const bool cache_hit = stage_ == obs::QueryStage::kCacheHit;
+      if (!cache_hit) {
+        PipelineProfile& profile = op_->profile_;
+        (profile.*Sinks().time).AddNanos(dur);
+        obs::Histogram* latency =
+            profile.stage_latency[static_cast<size_t>(stage_)];
+        if (latency != nullptr) latency->Record(static_cast<uint64_t>(dur));
+        if (obs::ChunkTracer* tracer = op_->tracer()) {
+          tracer->RecordSpan(Sinks().trace, c.source, c.chunk_index,
+                             start_nanos_, dur);
+        }
+        const bool counts_rows = stage_ == obs::QueryStage::kTokenize ||
+                                 stage_ == obs::QueryStage::kParse;
+        obs::FlightRecord(Sinks().flight, c.chunk_index,
+                          counts_rows ? c.rows : c.bytes);
+      }
+      if (!HoldsHeartbeat() && op_->heartbeats_ != nullptr) {
+        op_->heartbeats_->Beat(obs::HeartbeatStage::kRead);
+      }
+      if (run == nullptr) return;
+      if (!c.ranged) {
+        run->profiler.RecordSpan(stage_, obs::CurrentThreadId(), start_nanos_,
+                                 dur);
+      }
+      // Progress counts a chunk once it is ready for the engine: a cache
+      // hit, a database READ or a PARSE.
+      if (stage_ == obs::QueryStage::kWrite) {
+        run->progress.CountLoaded();
+      } else if (cache_hit || stage_ == obs::QueryStage::kParse ||
+                 c.source == obs::ChunkSource::kDb) {
+        run->progress.AddBytes(c.bytes);
+        run->progress.CountChunk();
+      }
+    }
+
+   private:
+    // TOKENIZE, PARSE and WRITE are active on the heartbeat board while
+    // they work. READ beats once per chunk: the run holds its whole phase
+    // active (read_heartbeat), and cache hits beat for it.
+    bool HoldsHeartbeat() const {
+      return op_->heartbeats_ != nullptr &&
+             stage_ != obs::QueryStage::kRead &&
+             stage_ != obs::QueryStage::kCacheHit;
+    }
+    const StageSinks& Sinks() const {
+      return kStageSinks[static_cast<size_t>(stage_)];
+    }
+
+    ScanRaw* const op_;
+    const obs::QueryStage stage_;
+    const int64_t start_nanos_;
   };
 
   Impl(ScanRaw* parent_op, std::vector<size_t> columns,
@@ -221,7 +309,10 @@ struct ScanRaw::QueryRun::Impl {
   // database-resident chunks, then raw chunks (§3.2.1), and starts READ.
   void Start() {
     profiler.Begin();  // re-anchor: setup (catalog reads) is not query time
-    parent->RegisterObservers(&profiler, &progress, required_columns);
+    {
+      MutexLock lock(parent->active_mu_);
+      parent->active_run_ = this;
+    }
     if (meta.layout_known) {
       std::vector<const ChunkMetadata*> from_raw;
       uint64_t total_bytes = 0;
@@ -229,13 +320,14 @@ struct ScanRaw::QueryRun::Impl {
         if (skip_filter.has_value() &&
             cm.CanSkipForRange(skip_filter->column, skip_filter->lo,
                                skip_filter->hi)) {
-          parent->profile_.CountSkipped();  // min/max proved no match (§3.3)
+          Add(&ChunkCounts::chunks_skipped);  // min/max proved no match (§3.3)
           continue;
         }
         total_bytes += cm.raw_size;
         BinaryChunkPtr hit = parent->cache_.Lookup(cm.chunk_index);
+        ++(hit != nullptr ? cache_hits : cache_misses);
         if (hit != nullptr && ChunkHasColumns(*hit, required_columns)) {
-          cached.emplace_back(cm.chunk_index, std::move(hit));
+          cached.emplace_back(&cm, std::move(hit));
         } else if (cm.HasColumnsLoaded(required_columns)) {
           to_read.push_back(&cm);
         } else {
@@ -445,19 +537,16 @@ struct ScanRaw::QueryRun::Impl {
   // Cache hits go to the caller without a hand-off; then the output buffer.
   Result<std::optional<BinaryChunkPtr>> Next() {
     if (next_cached < cached.size()) {
-      auto& [index, chunk] = cached[next_cached++];
-      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kCacheHit);
-      parent->profile_.CountFromCache();
+      auto& [cm, chunk] = cached[next_cached++];
+      StageRecord stage(parent, obs::QueryStage::kCacheHit);
+      Add(&ChunkCounts::chunks_from_cache);
       // Invisible loading charges its per-query quota against any unloaded
       // chunk that passes through, cached or freshly converted.
       if (parent->options_.policy == LoadPolicy::kInvisibleLoading) {
-        MaybeInvisibleWrite(index, chunk);
+        MaybeInvisibleWrite(cm->chunk_index, chunk);
       }
-      if (index < meta.chunks.size()) {
-        progress.AddBytes(meta.chunks[index].raw_size);
-      }
-      progress.CountChunk();
-      BeatStage(obs::HeartbeatStage::kRead);
+      stage.Record(this, {.chunk_index = cm->chunk_index,
+                          .bytes = cm->raw_size});
       return std::optional<BinaryChunkPtr>(std::move(chunk));
     }
     while (true) {
@@ -499,9 +588,20 @@ struct ScanRaw::QueryRun::Impl {
     }
   }
 
-  // Progress pulse for the stage watchdog; no-op when telemetry is unset.
-  void BeatStage(obs::HeartbeatStage stage) const {
-    if (parent->heartbeats_ != nullptr) parent->heartbeats_->Beat(stage);
+  // Bumps one of this query's counts together with the operator's.
+  void Add(ChunkCounts::Field field, uint64_t n = 1) {
+    parent->profile_.Add(field, n, &counts);
+  }
+
+  // Folds the speculation outcomes a step accrued into the counts: `now`
+  // minus `before`, for a source whose totals are cumulative.
+  void AddSpeculation(const SpeculationStats& now,
+                      const SpeculationStats& before = {}) {
+    Add(&ChunkCounts::tokenize_ranges, now.ranges - before.ranges);
+    Add(&ChunkCounts::tokenize_misspeculations,
+        now.misspeculations - before.misspeculations);
+    Add(&ChunkCounts::tokenize_repair_bytes,
+        now.repair_bytes - before.repair_bytes);
   }
 
   // Text dialect for record discovery and TOKENIZE, from the options.
@@ -513,22 +613,10 @@ struct ScanRaw::QueryRun::Impl {
   }
 
   // Pool for fanning one chunk's record scan or TOKENIZE out over idle
-  // workers; null keeps the frozen sequential reference path.
+  // workers; null in the sequential configuration (num_workers = 0), where
+  // the caller's thread does all the work.
   ThreadPool* ScanPool() const {
-    return parent->options_.parallel_tokenize && max_tasks > 0
-               ? &ThreadPool::Shared()
-               : nullptr;
-  }
-
-  // Folds newly accrued speculation outcomes into the profile counters
-  // (live — per chunk, not per scan).
-  void AddSpeculation(const SpeculationStats& cur, SpeculationStats* prev) {
-    parent->profile_.AddTokenizeRanges(cur.ranges - prev->ranges);
-    parent->profile_.AddTokenizeMisspeculations(cur.misspeculations -
-                                                prev->misspeculations);
-    parent->profile_.AddTokenizeRepairBytes(cur.repair_bytes -
-                                            prev->repair_bytes);
-    *prev = cur;
+    return max_tasks > 0 ? &ThreadPool::Shared() : nullptr;
   }
 
   // Ends a READ step: a database chunk joins the output buffer, a raw chunk
@@ -555,11 +643,11 @@ struct ScanRaw::QueryRun::Impl {
     SubmitRunner(spawn);
     if (finished) read_heartbeat.reset();
     if (blocked) {
-      parent->profile_.CountReadBlocked();
+      Add(&ChunkCounts::read_blocked_events);
       if (obs::ChunkTracer* tracer = parent->tracer()) {
         tracer->RecordInstant(obs::TraceStage::kReadBlocked, raw_index);
       }
-      parent->MaybeTriggerSpeculativeWrite();
+      parent->MaybeTriggerSpeculativeWrite(&counts);
     }
   }
 
@@ -574,29 +662,25 @@ struct ScanRaw::QueryRun::Impl {
     if (chunker == nullptr) {
       auto opened = SequentialChunker::Open(
           meta.raw_path, parent->options_.chunk_rows, parent->raw_limiter_,
-          &parent->raw_io_stats_, parent->buffer_pool_.get(), Dialect(),
-          ScanPool());
+          &raw_io, parent->buffer_pool_.get(), Dialect(), ScanPool());
       if (!opened.ok()) return ReadFailed(opened.status());
       chunker = std::move(*opened);
     }
     std::optional<TextChunk> chunk;
     {
       ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-      obs::SpanRecorder span(parent->tracer(), parent->profile_.read_latency,
-                             obs::TraceStage::kRead, obs::ChunkSource::kRaw);
-      ScopedTimer timer(&parent->profile_.read_time);
+      StageRecord stage(parent, obs::QueryStage::kRead);
+      const SpeculationStats before = chunker->speculation();
       auto next = chunker->Next();
+      AddSpeculation(chunker->speculation(), before);
       if (!next.ok()) return ReadFailed(next.status());
       chunk = std::move(*next);
+      // The final step only probes for EOF: no chunk, so no READ.
       if (chunk.has_value()) {
-        span.set_chunk_index(chunk->chunk_index);
-      } else {
-        span.Cancel();  // EOF probe, not a chunk read
+        stage.Record(this, {.chunk_index = chunk->chunk_index,
+                            .bytes = chunk->data.size()});
       }
     }
-    AddSpeculation(chunker->speculation(), &spec_seen);
-    BeatStage(obs::HeartbeatStage::kRead);
     if (!chunk.has_value()) {
       Status s = parent->catalog_->MarkLayoutComplete(parent->table_);
       if (!s.ok()) ReportError(s);
@@ -607,11 +691,9 @@ struct ScanRaw::QueryRun::Impl {
     cm.raw_offset = chunk->file_offset;
     cm.raw_size = chunk->data.size();
     cm.num_rows = chunk->num_rows();
-    obs::FlightRecord(obs::FlightEvent::kRead, chunk->chunk_index,
-                      chunk->data.size());
     Status s = parent->catalog_->AppendChunk(parent->table_, cm);
     if (!s.ok()) return ReadFailed(s);
-    parent->profile_.CountFromRaw();
+    Add(&ChunkCounts::chunks_from_raw);
     EndRead(std::move(chunk), nullptr, /*last=*/false);
   }
 
@@ -619,20 +701,15 @@ struct ScanRaw::QueryRun::Impl {
     BinaryChunkPtr ptr;
     {
       ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-      obs::SpanRecorder span(parent->tracer(), parent->profile_.read_latency,
-                             obs::TraceStage::kRead, obs::ChunkSource::kDb,
-                             cm.chunk_index);
-      ScopedTimer timer(&parent->profile_.read_time);
+      StageRecord stage(parent, obs::QueryStage::kRead);
       auto chunk = parent->storage_->ReadChunkColumns(cm, required_columns);
       if (!chunk.ok()) return ReadFailed(chunk.status());
       ptr = std::make_shared<const BinaryChunk>(std::move(*chunk));
+      stage.Record(this, {.source = obs::ChunkSource::kDb,
+                          .chunk_index = cm.chunk_index,
+                          .bytes = cm.raw_size});
     }
-    obs::FlightRecord(obs::FlightEvent::kRead, cm.chunk_index, cm.raw_size);
-    parent->profile_.CountFromDb();
-    progress.AddBytes(cm.raw_size);
-    progress.CountChunk();
-    BeatStage(obs::HeartbeatStage::kRead);
+    Add(&ChunkCounts::chunks_from_db);
     // Database chunks are cached too (pre-fetching works for both sources,
     // §3.1) and arrive already loaded.
     HandleEvictions(
@@ -643,30 +720,24 @@ struct ScanRaw::QueryRun::Impl {
   void RawStep(const ChunkMetadata& cm) {
     if (raw_file == nullptr) {
       auto file = RandomAccessFile::Open(meta.raw_path, parent->raw_limiter_,
-                                         &parent->raw_io_stats_);
+                                         &raw_io);
       if (!file.ok()) return ReadFailed(file.status());
       raw_file = std::move(*file);
     }
     std::optional<TextChunk> chunk;
     {
       ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-      obs::SpanRecorder span(parent->tracer(), parent->profile_.read_latency,
-                             obs::TraceStage::kRead, obs::ChunkSource::kRaw,
-                             cm.chunk_index);
-      ScopedTimer timer(&parent->profile_.read_time);
+      StageRecord stage(parent, obs::QueryStage::kRead);
       SpeculationStats spec;
       auto read = ReadChunkAt(*raw_file, cm, parent->buffer_pool_.get(),
                               Dialect(), ScanPool(), &spec);
-      parent->profile_.AddTokenizeRanges(spec.ranges);
-      parent->profile_.AddTokenizeMisspeculations(spec.misspeculations);
-      parent->profile_.AddTokenizeRepairBytes(spec.repair_bytes);
+      AddSpeculation(spec);
       if (!read.ok()) return ReadFailed(read.status());
       chunk = std::move(*read);
+      stage.Record(this, {.chunk_index = cm.chunk_index,
+                          .bytes = cm.raw_size});
     }
-    obs::FlightRecord(obs::FlightEvent::kRead, cm.chunk_index, cm.raw_size);
-    parent->profile_.CountFromRaw();
-    BeatStage(obs::HeartbeatStage::kRead);
+    Add(&ChunkCounts::chunks_from_raw);
     EndRead(std::move(chunk), nullptr, /*last=*/false);
   }
 
@@ -689,8 +760,7 @@ struct ScanRaw::QueryRun::Impl {
       if (map != nullptr) {
         posmap_hits.fetch_add(1, std::memory_order_relaxed);
         if (origin == PosmapOrigin::kDisk) {
-          posmap_disk_hits.fetch_add(1, std::memory_order_relaxed);
-          parent->profile_.CountPosmapDiskChunk();
+          Add(&ChunkCounts::posmap_disk_chunks);
         }
       } else {
         posmap_misses.fetch_add(1, std::memory_order_relaxed);
@@ -701,11 +771,9 @@ struct ScanRaw::QueryRun::Impl {
       // The extend path scans only the unmapped suffix, but the whole chunk
       // was subjected to TOKENIZE-stage work; count it all — the
       // fully-mapped skip path above is the only zero-byte outcome.
-      parent->profile_.AddBytesTokenized(text->data.size());
+      Add(&ChunkCounts::bytes_tokenized, text->data.size());
       map.reset();
       if (built.ok()) {
-        obs::FlightRecord(obs::FlightEvent::kTokenize, text->chunk_index,
-                          built->num_rows());
         auto shared = std::make_shared<PositionalMap>(std::move(*built));
         if (use_map_cache) {
           parent->positional_maps_.Insert(text->chunk_index, shared,
@@ -730,17 +798,20 @@ struct ScanRaw::QueryRun::Impl {
   // needed fields) when there is one.
   Result<PositionalMap> Tokenize(const TextChunk& text,
                                  const PositionalMap* partial) {
-    obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                          obs::HeartbeatStage::kTokenize);
-    obs::SpanRecorder span(parent->tracer(), parent->profile_.tokenize_latency,
-                           obs::TraceStage::kTokenize, obs::ChunkSource::kRaw,
-                           text.chunk_index);
-    ScopedTimer timer(&parent->profile_.tokenize_time);
-    if (!json && partial == nullptr && parent->options_.parallel_tokenize) {
-      // Speculative parallel tier: byte ranges fan out over idle pool
-      // workers while this step claims ranges too. Busy time reaches the
-      // span profiler as one span per range from whichever thread ran it
-      // (no outer kTokenize scope, or the ranges would be double-counted).
+    StageRecord stage(parent, obs::QueryStage::kTokenize);
+    bool ranged = false;
+    auto map = [&]() -> Result<PositionalMap> {
+      if (json) return TokenizeJsonChunk(text, meta.schema);
+      // Delimited text: extend a cached partial map when available.
+      if (partial != nullptr && !partial->explicit_ends()) {
+        return ExtendTokenizeMap(text, *partial, topts);
+      }
+      // A full TOKENIZE fans byte ranges out over idle pool workers (one
+      // range for a small chunk or without a pool) while this step claims
+      // ranges too. Busy time reaches the span profiler as one span per
+      // range from whichever thread ran it, so the stage record adds no
+      // span of its own, or the ranges would be double-counted.
+      ranged = true;
       ParallelTokenizeOptions ptopts;
       ptopts.pool = ScanPool();
       ptopts.range_span = [this](size_t, int64_t start, int64_t dur) {
@@ -748,16 +819,16 @@ struct ScanRaw::QueryRun::Impl {
                             obs::CurrentThreadId(), start, dur);
       };
       SpeculationStats spec;
-      auto map = ParallelTokenizeChunk(text, topts, ptopts, &spec);
-      parent->profile_.AddTokenizeRanges(spec.ranges);
-      return map;
+      auto full = ParallelTokenizeChunk(text, topts, ptopts, &spec);
+      AddSpeculation(spec);
+      return full;
+    }();
+    if (map.ok()) {
+      stage.Record(this, {.chunk_index = text.chunk_index,
+                          .rows = map->num_rows(),
+                          .ranged = ranged});
     }
-    obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kTokenize);
-    if (json) return TokenizeJsonChunk(text, meta.schema);
-    // Delimited text: extend a cached partial map when available.
-    return partial != nullptr && !partial->explicit_ends()
-               ? ExtendTokenizeMap(text, *partial, topts)
-               : TokenizeChunk(text, topts);
+    return map;
   }
 
   // Push-down selection applies only when nothing downstream keeps chunk
@@ -770,25 +841,17 @@ struct ScanRaw::QueryRun::Impl {
   }
 
   void ParseStep(Tokenized tokenized) {
+    const TextChunk& text = *tokenized.text;
     BinaryChunkPtr chunk;
     {
-      obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                            obs::HeartbeatStage::kParse);
-      auto parsed = [&] {
-        obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kParse);
-        obs::SpanRecorder span(parent->tracer(), parent->profile_.parse_latency,
-                               obs::TraceStage::kParse, obs::ChunkSource::kRaw,
-                               tokenized.text->chunk_index);
-        ScopedTimer timer(&parent->profile_.parse_time);
-        return ParseChunk(*tokenized.text, *tokenized.map, meta.schema, popts);
-      }();
+      StageRecord stage(parent, obs::QueryStage::kParse);
+      auto parsed = ParseChunk(text, *tokenized.map, meta.schema, popts);
       if (parsed.ok()) {
-        obs::FlightRecord(obs::FlightEvent::kParse,
-                          tokenized.text->chunk_index, parsed->num_rows());
-        progress.AddBytes(tokenized.text->data.size());
-        progress.CountChunk();
-        parent->profile_.AddRowsDelivered(parsed->num_rows());
-        parent->profile_.AddBytesConverted(tokenized.text->data.size());
+        stage.Record(this, {.chunk_index = text.chunk_index,
+                            .bytes = text.data.size(),
+                            .rows = parsed->num_rows()});
+        Add(&ChunkCounts::rows_delivered, parsed->num_rows());
+        Add(&ChunkCounts::bytes_converted, text.data.size());
         chunk = DeliverConverted(ChunkBufferPool::WrapChunk(
             std::move(*parsed), parent->buffer_pool_));
       } else {
@@ -891,11 +954,13 @@ struct ScanRaw::QueryRun::Impl {
       abandoned = true;  // running steps finish; nothing new is claimed
     }
     JoinAll();
-    // Only now: the profiler/progress objects are about to be destroyed, so
-    // background writes that continue past this run are no longer ours.
-    // (Unregistration waits for destruction rather than Finish so the WRITE
-    // drain of the synchronous-loading policies is still attributed.)
-    parent->UnregisterObservers(&profiler, &progress);
+    // Only now: the run is about to be destroyed, so background writes that
+    // continue past it are no longer its own. (Unregistering waits for
+    // destruction rather than Finish so the WRITE drain of the
+    // synchronous-loading policies is still attributed.) Identity-checked:
+    // a newer query may have registered already.
+    MutexLock lock(parent->active_mu_);
+    if (parent->active_run_ == this) parent->active_run_ = nullptr;
   }
 
   ScanRaw* const parent;
@@ -913,14 +978,13 @@ struct ScanRaw::QueryRun::Impl {
 
   // Set by Start: cache hits, consumed by Next() on the caller's thread,
   // then the chunks READ fetches, database-resident ones first.
-  std::vector<std::pair<uint64_t, BinaryChunkPtr>> cached;
+  std::vector<std::pair<const ChunkMetadata*, BinaryChunkPtr>> cached;
   size_t next_cached = 0;
   std::vector<const ChunkMetadata*> to_read;
   size_t db_count = 0;
 
   // READ state, touched by one READ step at a time.
   std::unique_ptr<SequentialChunker> chunker;
-  SpeculationStats spec_seen;
   std::unique_ptr<RandomAccessFile> raw_file;
   std::optional<obs::StageHeartbeats::Scope> read_heartbeat;
 
@@ -950,13 +1014,18 @@ struct ScanRaw::QueryRun::Impl {
   bool abandoned GUARDED_BY(mu) = false;
   Status first_error GUARDED_BY(mu);
 
-  // Query-scoped positional-map accounting, counted at the TOKENIZE lookup
-  // sites. EXPLAIN reads these instead of deltas over the cache's lifetime
-  // counters, so concurrent queries on the same operator cannot pollute
-  // each other's numbers.
+  // This query's own counts, which EXPLAIN and the query log report: the
+  // profile's counters (bumped together with the operator's by Add), and
+  // the cache and positional-map lookups, stored segment bytes and raw-file
+  // reads, which have no twin in the profile. Concurrent queries on the
+  // operator never touch each other's.
+  ChunkCounts counts;
+  uint64_t cache_hits = 0;  // set by Start
+  uint64_t cache_misses = 0;
   std::atomic<uint64_t> posmap_hits{0};
   std::atomic<uint64_t> posmap_misses{0};
-  std::atomic<uint64_t> posmap_disk_hits{0};
+  std::atomic<uint64_t> bytes_written{0};  // credited by the WRITE thread
+  IoStats raw_io;
 
   std::atomic<int64_t> invisible_budget;
 };
@@ -991,17 +1060,13 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
       arbiter_(arbiter),
       raw_limiter_(raw_limiter),
       options_(options),
-      cache_(options.cache_capacity_chunks, options.bias_evict_loaded),
+      cache_(options.cache_capacity_chunks),
       positional_maps_(options.cache_positional_maps
                            ? options.positional_map_cache_chunks
                            : 0,
-                       options.cache_positional_maps
-                           ? options.positional_map_cache_bytes
-                           : 0),
+                       kPositionalMapCacheBytes),
+      buffer_pool_(std::make_shared<ChunkBufferPool>()),
       write_queue_(1 << 20) {
-  if (options_.reuse_buffers) {
-    buffer_pool_ = std::make_shared<ChunkBufferPool>();
-  }
   if (options_.telemetry != nullptr) {
     // Bind every registry mirror before the WRITE thread (or any query
     // pipeline) starts, so the hot paths read the pointers race-free.
@@ -1013,12 +1078,9 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
         registry.GetCounter("scanraw.posmap.disk_hits"),
         registry.GetCounter("scanraw.posmap.dialect_drops"));
     options_.telemetry->tracer().SetLabel("scanraw:" + table_);
-    if (buffer_pool_ != nullptr) {
-      buffer_pool_->BindMetrics(
-          registry.GetCounter("scanraw.pool.buffer_hits"),
-          registry.GetCounter("scanraw.pool.buffer_misses"),
-          registry.GetGauge("scanraw.pool.idle_buffers"));
-    }
+    buffer_pool_->BindMetrics(registry.GetCounter("scanraw.pool.buffer_hits"),
+                              registry.GetCounter("scanraw.pool.buffer_misses"),
+                              registry.GetGauge("scanraw.pool.idle_buffers"));
     cache_.BindMetrics(registry.GetCounter("scanraw.cache.hits"),
                        registry.GetCounter("scanraw.cache.misses"),
                        registry.GetCounter("scanraw.cache.evictions"),
@@ -1093,26 +1155,10 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec) {
 
 Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
                                           obs::ExplainReport* explain) {
-  // Baselines for the per-query deltas the report shows. The counters are
-  // shared across queries on this operator, so EXPLAIN assumes one query at
-  // a time (concurrent queries fold into each other's deltas).
-  const uint64_t base_cache = profile_.chunks_from_cache.load();
-  const uint64_t base_db = profile_.chunks_from_db.load();
-  const uint64_t base_raw = profile_.chunks_from_raw.load();
-  const uint64_t base_written = profile_.chunks_written.load();
-  const uint64_t base_skipped = profile_.chunks_skipped.load();
-  const uint64_t base_triggers = profile_.speculative_triggers.load();
-  const uint64_t base_blocked = profile_.read_blocked_events.load();
-  const uint64_t base_tok_ranges = profile_.tokenize_ranges.load();
-  const uint64_t base_tok_misspec = profile_.tokenize_misspeculations.load();
-  const uint64_t base_tok_repair = profile_.tokenize_repair_bytes.load();
-  const uint64_t base_cache_hits = cache_.hits();
-  const uint64_t base_cache_misses = cache_.misses();
-  const uint64_t base_tok_bytes = profile_.bytes_tokenized.load();
-  const uint64_t base_bytes = storage_ != nullptr ? storage_->bytes_written()
-                                                  : 0;
-  const uint64_t base_useful = profile_.useful_bytes_written.load();
-  const uint64_t base_bytes_read = raw_io_stats_.bytes_read.load();
+  // Baselines for the only deltas the report shows: the arbiter and the
+  // limiter are devices shared with every other query and operator, and
+  // expose only cumulative wait totals. Every other number is counted by
+  // this query's own run.
   const int64_t base_disk_wait =
       arbiter_ != nullptr
           ? arbiter_->reader_wait_nanos() + arbiter_->writer_wait_nanos()
@@ -1120,9 +1166,9 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   const uint64_t base_throttle_wait =
       raw_limiter_ != nullptr ? raw_limiter_->total_wait_nanos() : 0;
   // The report is filled for an explicit EXPLAIN, and also locally when a
-  // query log is attached: the logged event is the report's counters, so
-  // logging pays the same (cheap) delta reads EXPLAIN does. Only a report
-  // reads the loaded fraction, which copies the table's catalog entry.
+  // query log is attached: the logged event is built from the report. Only
+  // a report reads the loaded fraction, which copies the table's catalog
+  // entry.
   obs::ExplainReport local_report;
   obs::ExplainReport* report =
       explain != nullptr
@@ -1130,82 +1176,46 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
           : (options_.query_log != nullptr ? &local_report : nullptr);
   const double loaded_before = report != nullptr ? LoadedFraction() : 0.0;
   const std::vector<size_t> columns = spec.RequiredColumns();
-  const int64_t query_start_nanos = RealClock::Instance()->NowNanos();
+  const double query_start = RealClock::Instance()->NowSeconds();
 
-  // On a failed query the full report is unavailable (the profiler may not
-  // have ended cleanly), so the log gets a minimal event: spec, policy, and
-  // the error. Failed queries still advance the history's recency clock.
-  auto log_failure = [&](const Status& failure) {
-    if (options_.query_log == nullptr) return;
-    obs::QueryLogEvent event;
-    event.table = table_;
-    event.policy = std::string(LoadPolicyName(options_.policy));
-    event.status = failure.ToString();
-    event.wall_seconds =
-        static_cast<double>(RealClock::Instance()->NowNanos() -
-                            query_start_nanos) *
-        1e-9;
-    event.columns = columns;
-    if (spec.predicate.range.has_value()) {
-      event.predicate_columns.push_back(spec.predicate.range->column);
-    }
-    if (spec.predicate.pattern.has_value()) {
-      event.predicate_columns.push_back(spec.predicate.pattern->column);
-    }
-    event.advisor_used = options_.advisor != nullptr &&
-                         options_.policy == LoadPolicy::kSpeculativeLoading;
-    const Status append = options_.query_log->Append(std::move(event));
-    if (!append.ok()) {
-      LOG_WARN("scanraw: query log append failed: %s",
-               append.ToString().c_str());
-    }
+  auto fail = [&](const Status& failure) {
+    LogQuery(spec, failure, RealClock::Instance()->NowSeconds() - query_start,
+             nullptr, nullptr, 0);
     obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/1, /*b=*/0);
+    return failure;
   };
 
   obs::FlightRecord(obs::FlightEvent::kQueryBegin, columns.size(),
                     static_cast<uint64_t>(options_.policy));
 
-  auto run = StartQuery(columns, spec.predicate.range);
-  if (!run.ok()) {
-    log_failure(run.status());
-    return run.status();
-  }
-  obs::SpanProfiler& profiler = (*run)->impl_->profiler;
-  auto result = RunQuery(spec, run->get(), &profiler);
-  (*run)->Finish();
-  Status s = (*run)->status();
-  if (!s.ok()) {
-    log_failure(s);
-    return s;
-  }
-  if (!result.ok()) {
-    log_failure(result.status());
-    return result.status();
-  }
+  auto started = StartQuery(columns, spec.predicate.range);
+  if (!started.ok()) return fail(started.status());
+  QueryRun::Impl& run = *(*started)->impl_;
+  auto result = RunQuery(spec, started->get(), &run.profiler);
+  run.JoinAll();
+  Status s = run.GetStatus();
+  if (!s.ok()) return fail(s);
+  if (!result.ok()) return fail(result.status());
   if (options_.policy == LoadPolicy::kFullLoad ||
       options_.policy == LoadPolicy::kInvisibleLoading) {
     // Synchronous-loading regimes: loading is part of the query.
     WaitForWrites();
     Status ws = write_status();
-    if (!ws.ok()) {
-      log_failure(ws);
-      return ws;
-    }
+    if (!ws.ok()) return fail(ws);
   }
 
   if (report != nullptr) {
     // Include the background-write drain (speculative writes, safeguard
     // flush) in the report's window: EXPLAIN ANALYZE answers "what did this
-    // query load", and without the drain those writes would land between
-    // the report snapshot and the next query's baseline, credited to
-    // neither. The per-query observers stay registered until the run is
-    // destroyed, so WRITE spans recorded here still attribute correctly.
+    // query load", and the WRITE thread credits a write to the run that is
+    // registered when it lands. This run stays registered until it is
+    // destroyed, so the drained writes are its own.
     WaitForWrites();
 
-    // The arbiter and limiter expose only cumulative wait totals, so the
-    // blocked time enters the profile as one synthetic span per category
-    // anchored at query start — correct busy/blocked accounting, excluded
-    // from critical-path selection (wait stages always are).
+    // The blocked time enters the profile as one synthetic span per
+    // category anchored at query start — correct busy/blocked accounting,
+    // excluded from critical-path selection (wait stages always are).
+    obs::SpanProfiler& profiler = run.profiler;
     if (arbiter_ != nullptr) {
       const int64_t d = arbiter_->reader_wait_nanos() +
                         arbiter_->writer_wait_nanos() - base_disk_wait;
@@ -1227,33 +1237,25 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
     report->policy = std::string(LoadPolicyName(options_.policy));
     report->workers = options_.num_workers;
     report->FillFromProfile(profiler.Aggregate());
-    report->chunks_from_cache = profile_.chunks_from_cache.load() - base_cache;
-    report->chunks_from_db = profile_.chunks_from_db.load() - base_db;
-    report->chunks_from_raw = profile_.chunks_from_raw.load() - base_raw;
-    report->chunks_skipped = profile_.chunks_skipped.load() - base_skipped;
-    report->chunks_written = profile_.chunks_written.load() - base_written;
-    report->speculative_triggers =
-        profile_.speculative_triggers.load() - base_triggers;
-    report->tokenize_ranges = profile_.tokenize_ranges.load() - base_tok_ranges;
-    report->tokenize_misspeculations =
-        profile_.tokenize_misspeculations.load() - base_tok_misspec;
-    report->tokenize_repair_bytes =
-        profile_.tokenize_repair_bytes.load() - base_tok_repair;
-    report->read_blocked_events =
-        profile_.read_blocked_events.load() - base_blocked;
-    report->bytes_written =
-        (storage_ != nullptr ? storage_->bytes_written() : 0) - base_bytes;
-    report->useful_bytes_written =
-        profile_.useful_bytes_written.load() - base_useful;
-    report->cache_hits = cache_.hits() - base_cache_hits;
-    report->cache_misses = cache_.misses() - base_cache_misses;
-    // Positional-map numbers are query-scoped — counted at the TOKENIZE
-    // lookup sites of this run, not as deltas over the cache's lifetime
-    // counters — so concurrent queries cannot pollute them.
-    report->posmap_hits = (*run)->impl_->posmap_hits.load();
-    report->posmap_misses = (*run)->impl_->posmap_misses.load();
-    report->posmap_disk_hits = (*run)->impl_->posmap_disk_hits.load();
-    report->bytes_tokenized = profile_.bytes_tokenized.load() - base_tok_bytes;
+    const ChunkCounts& counts = run.counts;
+    report->chunks_from_cache = counts.chunks_from_cache.load();
+    report->chunks_from_db = counts.chunks_from_db.load();
+    report->chunks_from_raw = counts.chunks_from_raw.load();
+    report->chunks_skipped = counts.chunks_skipped.load();
+    report->chunks_written = counts.chunks_written.load();
+    report->speculative_triggers = counts.speculative_triggers.load();
+    report->read_blocked_events = counts.read_blocked_events.load();
+    report->bytes_written = run.bytes_written.load();
+    report->useful_bytes_written = counts.useful_bytes_written.load();
+    report->tokenize_ranges = counts.tokenize_ranges.load();
+    report->tokenize_misspeculations = counts.tokenize_misspeculations.load();
+    report->tokenize_repair_bytes = counts.tokenize_repair_bytes.load();
+    report->cache_hits = run.cache_hits;
+    report->cache_misses = run.cache_misses;
+    report->posmap_hits = run.posmap_hits.load();
+    report->posmap_misses = run.posmap_misses.load();
+    report->posmap_disk_hits = counts.posmap_disk_chunks.load();
+    report->bytes_tokenized = counts.bytes_tokenized.load();
     report->loaded_fraction_before = loaded_before;
     report->loaded_fraction_after = LoadedFraction();
     report->speculation_paid_off =
@@ -1264,46 +1266,8 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
     if (report->advisor_used) {
       report->advisor_note = options_.advisor->Plan(table_).note;
     }
-
-    if (options_.query_log != nullptr) {
-      obs::QueryLogEvent event;
-      event.table = report->table;
-      event.policy = report->policy;
-      event.wall_seconds = report->wall_seconds;
-      event.columns = columns;
-      if (spec.predicate.range.has_value()) {
-        event.predicate_columns.push_back(spec.predicate.range->column);
-      }
-      if (spec.predicate.pattern.has_value()) {
-        event.predicate_columns.push_back(spec.predicate.pattern->column);
-      }
-      event.rows_scanned = result->rows_scanned;
-      event.rows_matched = result->rows_matched;
-      for (const obs::ExplainStage& stage : report->stages) {
-        event.stage_busy_seconds.emplace_back(stage.name, stage.busy_seconds);
-      }
-      event.chunks_from_cache = report->chunks_from_cache;
-      event.chunks_from_db = report->chunks_from_db;
-      event.chunks_from_raw = report->chunks_from_raw;
-      event.chunks_skipped = report->chunks_skipped;
-      event.chunks_written = report->chunks_written;
-      event.speculative_triggers = report->speculative_triggers;
-      event.bytes_read = raw_io_stats_.bytes_read.load() - base_bytes_read;
-      event.bytes_written = report->bytes_written;
-      event.useful_bytes_written = report->useful_bytes_written;
-      event.cache_hit_rate =
-          report->HitRate(report->cache_hits, report->cache_misses);
-      event.posmap_hit_rate =
-          report->HitRate(report->posmap_hits, report->posmap_misses);
-      event.speculation_paid_off = report->speculation_paid_off;
-      event.advisor_used = report->advisor_used;
-      const Status append = options_.query_log->Append(std::move(event));
-      if (!append.ok()) {
-        // The log is advisory: a failed append never fails the query.
-        LOG_WARN("scanraw: query log append failed: %s",
-                 append.ToString().c_str());
-      }
-    }
+    LogQuery(spec, Status::OK(), report->wall_seconds, report, &*result,
+             run.raw_io.bytes_read.load());
   }
   // After-cold-scan persistence hook: a query that tokenized raw bytes
   // just built (or widened) positional maps; save them now so a crash or
@@ -1314,7 +1278,7 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   // save never fails the query.
   if (options_.persist_positional_maps &&
       !options_.posmap_sidecar_path.empty() &&
-      profile_.bytes_tokenized.load() - base_tok_bytes > 0) {
+      run.counts.bytes_tokenized.load() > 0) {
     const Status saved = SavePositionalMaps(options_.posmap_sidecar_path);
     if (!saved.ok()) {
       LOG_WARN("scanraw: posmap sidecar save failed: %s",
@@ -1324,6 +1288,53 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/0,
                     result->rows_matched);
   return result;
+}
+
+void ScanRaw::LogQuery(const QuerySpec& spec, const Status& status,
+                       double wall_seconds, const obs::ExplainReport* report,
+                       const QueryResult* result, uint64_t bytes_read) {
+  if (options_.query_log == nullptr) return;
+  obs::QueryLogEvent event;
+  event.table = table_;
+  event.policy = std::string(LoadPolicyName(options_.policy));
+  if (!status.ok()) event.status = status.ToString();
+  event.wall_seconds = wall_seconds;
+  event.columns = spec.RequiredColumns();
+  if (spec.predicate.range.has_value()) {
+    event.predicate_columns.push_back(spec.predicate.range->column);
+  }
+  if (spec.predicate.pattern.has_value()) {
+    event.predicate_columns.push_back(spec.predicate.pattern->column);
+  }
+  event.advisor_used = options_.advisor != nullptr &&
+                       options_.policy == LoadPolicy::kSpeculativeLoading;
+  if (report != nullptr) {
+    event.rows_scanned = result->rows_scanned;
+    event.rows_matched = result->rows_matched;
+    for (const obs::ExplainStage& stage : report->stages) {
+      event.stage_busy_seconds.emplace_back(stage.name, stage.busy_seconds);
+    }
+    event.chunks_from_cache = report->chunks_from_cache;
+    event.chunks_from_db = report->chunks_from_db;
+    event.chunks_from_raw = report->chunks_from_raw;
+    event.chunks_skipped = report->chunks_skipped;
+    event.chunks_written = report->chunks_written;
+    event.speculative_triggers = report->speculative_triggers;
+    event.bytes_read = bytes_read;
+    event.bytes_written = report->bytes_written;
+    event.useful_bytes_written = report->useful_bytes_written;
+    event.cache_hit_rate =
+        report->HitRate(report->cache_hits, report->cache_misses);
+    event.posmap_hit_rate =
+        report->HitRate(report->posmap_hits, report->posmap_misses);
+    event.speculation_paid_off = report->speculation_paid_off;
+  }
+  const Status append = options_.query_log->Append(std::move(event));
+  if (!append.ok()) {
+    // The log is advisory: a failed append never fails the query.
+    LOG_WARN("scanraw: query log append failed: %s",
+             append.ToString().c_str());
+  }
 }
 
 Result<std::vector<QueryResult>> ScanRaw::ExecuteQueries(
@@ -1487,7 +1498,7 @@ bool ScanRaw::EnqueueWrite(uint64_t chunk_index, BinaryChunkPtr chunk) {
   return true;
 }
 
-void ScanRaw::MaybeTriggerSpeculativeWrite() {
+void ScanRaw::MaybeTriggerSpeculativeWrite(ChunkCounts* run) {
   if (options_.policy != LoadPolicy::kSpeculativeLoading) return;
   // Back off after a failed background write: the disk is unhappy (full,
   // erroring); keep serving the query from the raw side and retry later.
@@ -1495,7 +1506,7 @@ void ScanRaw::MaybeTriggerSpeculativeWrite() {
       write_backoff_until_nanos_.load(std::memory_order_relaxed);
   if (backoff_until != 0 &&
       RealClock::Instance()->NowNanos() < backoff_until) {
-    profile_.CountWriteBackoff();
+    profile_.Add(&ChunkCounts::write_backoffs, 1, run);
     return;
   }
   {
@@ -1508,7 +1519,7 @@ void ScanRaw::MaybeTriggerSpeculativeWrite() {
   if (!victim.has_value()) return;
   const uint64_t victim_index = victim->first;
   if (EnqueueWrite(victim_index, std::move(victim->second))) {
-    profile_.CountSpeculativeTrigger();
+    profile_.Add(&ChunkCounts::speculative_triggers, 1, run);
     obs::FlightRecord(obs::FlightEvent::kSpeculativeTrigger, victim_index, 0);
     if (obs::ChunkTracer* t = tracer()) {
       t->RecordInstant(obs::TraceStage::kSpeculativeTrigger, victim_index);
@@ -1527,10 +1538,6 @@ void ScanRaw::SafeguardFlush() {
 
 void ScanRaw::WriteLoop() {
   while (auto req = write_queue_.Pop()) {
-    // Active only while a request is being stored: the idle Pop wait is the
-    // normal state for WRITE and must not look like a stall.
-    obs::StageHeartbeats::Scope heartbeat(heartbeats_,
-                                          obs::HeartbeatStage::kWrite);
     Status status;
     // Optional pre-load clustering (§3.3): sort the chunk's rows on the
     // configured column before it is stored.
@@ -1565,13 +1572,9 @@ void ScanRaw::WriteLoop() {
       // Every hot column already resident: nothing worth the write budget.
       skip_write = store_columns.empty();
     }
-    const int64_t write_start = RealClock::Instance()->NowNanos();
     if (!skip_write) {
       ScopedDiskAccess disk(arbiter_, DiskUser::kWriter);
-      obs::SpanRecorder span(tracer(), profile_.write_latency,
-                             obs::TraceStage::kWrite, obs::ChunkSource::kRaw,
-                             req->chunk_index);
-      ScopedTimer timer(&profile_.write_time);
+      QueryRun::Impl::StageRecord stage(this, obs::QueryStage::kWrite);
       auto segment = storage_->WriteSegment(*to_store, store_columns);
       if (!segment.ok()) {
         status = segment.status();
@@ -1583,36 +1586,40 @@ void ScanRaw::WriteLoop() {
         if (options_.sync_segment_writes) status = storage_->Sync();
         FaultKillPoint("scanraw.write.before_record");
         if (status.ok()) {
-          std::map<size_t, ColumnStats> stats;
-          if (options_.collect_stats) stats = ComputeChunkStats(*to_store);
           status = catalog_->RecordSegment(table_, req->chunk_index, *segment,
-                                           stats);
+                                           ComputeChunkStats(*to_store));
           FaultKillPoint("scanraw.write.after_record");
         }
+        // Credited to the query running now: the stored bytes, and on
+        // success the written chunk, its stage record and its useful
+        // bytes — the segment's bytes scaled by how many of its columns
+        // that query required (columns in one chunk are near-equal width,
+        // so proportional is a fair split).
+        MutexLock lock(active_mu_);
+        QueryRun::Impl* run = active_run_;
+        if (run != nullptr) run->bytes_written += segment->page.size;
         if (status.ok()) {
-          // Useful-write attribution: the segment's bytes, scaled by how
-          // many of its columns the active query required (columns in one
-          // chunk are near-equal width, so proportional is a fair split).
-          const size_t overlap = CountRequiredOverlap(store_columns);
-          if (!store_columns.empty()) {
-            profile_.AddUsefulBytes(segment->page.size * overlap /
-                                    store_columns.size());
+          size_t overlap = 0;
+          for (size_t c : store_columns) {
+            if (run != nullptr &&
+                std::binary_search(run->required_columns.begin(),
+                                   run->required_columns.end(), c)) {
+              ++overlap;
+            }
           }
-          obs::FlightRecord(obs::FlightEvent::kWrite, req->chunk_index,
-                            segment->page.size);
+          ChunkCounts* counts = run != nullptr ? &run->counts : nullptr;
+          profile_.Add(&ChunkCounts::chunks_written, 1, counts);
+          profile_.Add(&ChunkCounts::useful_bytes_written,
+                       segment->page.size * overlap /
+                           std::max<size_t>(1, store_columns.size()),
+                       counts);
+          stage.Record(run, {.chunk_index = req->chunk_index,
+                             .bytes = segment->page.size});
         }
       }
-    }
-    if (!skip_write) {
-      RecordWriteSpan(write_start,
-                      RealClock::Instance()->NowNanos() - write_start);
     }
     if (status.ok()) {
       cache_.MarkLoaded(req->chunk_index);
-      if (!skip_write) {
-        profile_.CountWritten();
-        NoteChunkLoaded();
-      }
     } else if (options_.policy == LoadPolicy::kFullLoad ||
                options_.policy == LoadPolicy::kInvisibleLoading) {
       // Loading is part of the query under these policies; surface it.
@@ -1624,7 +1631,7 @@ void ScanRaw::WriteLoop() {
       // from the raw side — and new speculative triggers back off so a
       // sick disk is not hammered. Retried naturally once the backoff
       // expires.
-      profile_.CountWriteFailure();
+      profile_.Add(&ChunkCounts::write_failures, 1, nullptr);
       LOG_WARN(
           "scanraw: background write of %s chunk %llu failed, "
           "falling back to raw-side processing: %s",
@@ -1646,51 +1653,6 @@ void ScanRaw::WriteLoop() {
     --writes_outstanding_;
     write_cv_.NotifyAll();
   }
-}
-
-void ScanRaw::RegisterObservers(obs::SpanProfiler* profiler,
-                                obs::ProgressTracker* progress,
-                                const std::vector<size_t>& required_columns) {
-  MutexLock lock(active_mu_);
-  active_profiler_ = profiler;
-  active_progress_ = progress;
-  active_required_ =
-      std::set<size_t>(required_columns.begin(), required_columns.end());
-}
-
-void ScanRaw::UnregisterObservers(obs::SpanProfiler* profiler,
-                                  obs::ProgressTracker* progress) {
-  MutexLock lock(active_mu_);
-  // Identity-checked: a newer query may have registered already.
-  if (active_profiler_ == profiler) active_profiler_ = nullptr;
-  if (active_progress_ == progress) {
-    active_progress_ = nullptr;
-    active_required_.clear();
-  }
-}
-
-size_t ScanRaw::CountRequiredOverlap(
-    const std::vector<size_t>& columns) const {
-  MutexLock lock(active_mu_);
-  size_t overlap = 0;
-  for (size_t c : columns) {
-    if (active_required_.count(c) != 0) ++overlap;
-  }
-  return overlap;
-}
-
-void ScanRaw::RecordWriteSpan(int64_t start_nanos, int64_t dur_nanos) {
-  MutexLock lock(active_mu_);
-  if (active_profiler_ != nullptr) {
-    active_profiler_->RecordSpan(obs::QueryStage::kWrite,
-                                 obs::CurrentThreadId(), start_nanos,
-                                 dur_nanos);
-  }
-}
-
-void ScanRaw::NoteChunkLoaded() {
-  MutexLock lock(active_mu_);
-  if (active_progress_ != nullptr) active_progress_->CountLoaded();
 }
 
 void ScanRaw::MaybeUpdateSketches(const BinaryChunk& chunk) {
@@ -1746,12 +1708,12 @@ std::string ScanRaw::StatuszSection() const {
     }
   }
   MutexLock lock(active_mu_);
-  if (active_profiler_ == nullptr) {
+  if (active_run_ == nullptr) {
     out += "  query: idle\n";
     return out;
   }
   out += "  query: running\n";
-  const obs::SpanProfiler::Report report = active_profiler_->Aggregate();
+  const obs::SpanProfiler::Report report = active_run_->profiler.Aggregate();
   for (size_t i = 0; i < obs::kNumQueryStages; ++i) {
     const auto stage = static_cast<obs::QueryStage>(i);
     const obs::SpanProfiler::StageStats& stats = report.stages[i];

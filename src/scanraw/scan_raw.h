@@ -38,19 +38,12 @@
 
 namespace scanraw {
 
-// Per-stage profiling counters ("special function calls to harness detailed
-// profiling data", §5). Stopwatch intervals count processed chunks, so
-// TotalSeconds()/intervals() is the per-chunk stage time of Figure 5.
-//
-// When bound to a metrics registry (Bind), every update is mirrored into
-// named registry metrics — per-stage latency histograms with percentiles
-// plus the chunk-source and scheduler counters — so the ad-hoc atomics here
-// stay as the cheap in-process view while the registry is the export path.
-struct PipelineProfile {
-  Stopwatch read_time;
-  Stopwatch tokenize_time;
-  Stopwatch parse_time;
-  Stopwatch write_time;
+// The pipeline's chunk counters ("special function calls to harness detailed
+// profiling data", §5), declared once. The operator's PipelineProfile holds
+// one set for its lifetime and every QueryRun one for its own query;
+// PipelineProfile::Add bumps both together with the registry mirror, so
+// EXPLAIN reports a query's own counts even while other queries run.
+struct ChunkCounts {
   std::atomic<uint64_t> chunks_from_cache{0};
   std::atomic<uint64_t> chunks_from_db{0};
   std::atomic<uint64_t> chunks_from_raw{0};
@@ -85,84 +78,72 @@ struct PipelineProfile {
   // (`posmap-disk` provenance).
   std::atomic<uint64_t> posmap_disk_chunks{0};
 
+  using Field = std::atomic<uint64_t> ChunkCounts::*;
+  struct Named {
+    Field field;
+    const char* metric;  // registry counter mirroring the operator's copy
+  };
+  static constexpr Named kNamed[] = {
+      {&ChunkCounts::chunks_from_cache, "scanraw.chunks_from_cache"},
+      {&ChunkCounts::chunks_from_db, "scanraw.chunks_from_db"},
+      {&ChunkCounts::chunks_from_raw, "scanraw.chunks_from_raw"},
+      {&ChunkCounts::chunks_written, "scanraw.chunks_written"},
+      {&ChunkCounts::chunks_skipped, "scanraw.chunks_skipped"},
+      {&ChunkCounts::read_blocked_events, "scanraw.read_blocked_events"},
+      {&ChunkCounts::speculative_triggers, "scanraw.speculative_triggers"},
+      {&ChunkCounts::write_failures, "scanraw.write_failures"},
+      {&ChunkCounts::write_backoffs, "scanraw.write_backoffs"},
+      {&ChunkCounts::useful_bytes_written, "scanraw.useful_bytes_written"},
+      {&ChunkCounts::rows_delivered, "scanraw.rows_delivered"},
+      {&ChunkCounts::bytes_converted, "scanraw.bytes_converted"},
+      {&ChunkCounts::tokenize_ranges, "scanraw.tokenize.ranges"},
+      {&ChunkCounts::tokenize_misspeculations,
+       "scanraw.tokenize.misspeculations"},
+      {&ChunkCounts::tokenize_repair_bytes, "scanraw.tokenize.repair_bytes"},
+      {&ChunkCounts::bytes_tokenized, "scanraw.tokenize.bytes"},
+      {&ChunkCounts::posmap_disk_chunks, "scanraw.posmap.disk_chunks"},
+  };
+};
+
+// The operator's lifetime profile: its ChunkCounts plus one Stopwatch per
+// stage. Stopwatch intervals count processed chunks, so
+// TotalSeconds()/intervals() is the per-chunk stage time of Figure 5.
+//
+// When bound to a metrics registry (Bind), every update is mirrored into
+// named registry metrics — per-stage latency histograms with percentiles
+// plus the counters above — so the atomics here stay the cheap in-process
+// view while the registry is the export path.
+struct PipelineProfile : ChunkCounts {
+  Stopwatch read_time;
+  Stopwatch tokenize_time;
+  Stopwatch parse_time;
+  Stopwatch write_time;
+
   // Registry mirrors; null until Bind. Stage histograms record nanoseconds
-  // per chunk. Operators sharing one registry share these objects, so the
-  // registry view aggregates across operators.
-  obs::Histogram* read_latency = nullptr;
-  obs::Histogram* tokenize_latency = nullptr;
-  obs::Histogram* parse_latency = nullptr;
-  obs::Histogram* write_latency = nullptr;
-  obs::Counter* from_cache_metric = nullptr;
-  obs::Counter* from_db_metric = nullptr;
-  obs::Counter* from_raw_metric = nullptr;
-  obs::Counter* written_metric = nullptr;
-  obs::Counter* skipped_metric = nullptr;
-  obs::Counter* read_blocked_metric = nullptr;
-  obs::Counter* speculative_metric = nullptr;
-  obs::Counter* write_failures_metric = nullptr;
-  obs::Counter* write_backoff_metric = nullptr;
-  obs::Counter* useful_bytes_metric = nullptr;
-  obs::Counter* rows_delivered_metric = nullptr;
-  obs::Counter* bytes_converted_metric = nullptr;
-  obs::Counter* tokenize_ranges_metric = nullptr;
-  obs::Counter* tokenize_misspec_metric = nullptr;
-  obs::Counter* tokenize_repair_metric = nullptr;
-  obs::Counter* bytes_tokenized_metric = nullptr;
-  obs::Counter* posmap_disk_metric = nullptr;
+  // per chunk, indexed READ, TOKENIZE, PARSE, WRITE. Operators sharing one
+  // registry share these objects, so the registry view aggregates across
+  // operators.
+  obs::Histogram* stage_latency[4] = {};
+  obs::Counter* mirrors[std::size(kNamed)] = {};
   // Query steps run on the shared worker pool, and this operator's runner
   // tasks executing or queued there (delta-updated gauges).
   obs::Counter* pool_tasks_metric = nullptr;
   obs::Gauge* pool_busy_metric = nullptr;
   obs::Gauge* pool_queue_metric = nullptr;
 
-  // Resolves the registry mirrors under the "scanraw." prefix. Call before
-  // the pipeline runs.
+  // Resolves the registry mirrors. Call before the pipeline runs.
   void Bind(obs::MetricsRegistry* registry);
 
-  void CountFromCache() { Bump(chunks_from_cache, from_cache_metric); }
-  void CountFromDb() { Bump(chunks_from_db, from_db_metric); }
-  void CountFromRaw() { Bump(chunks_from_raw, from_raw_metric); }
-  void CountWritten() { Bump(chunks_written, written_metric); }
-  void CountSkipped() { Bump(chunks_skipped, skipped_metric); }
-  void CountReadBlocked() { Bump(read_blocked_events, read_blocked_metric); }
-  void CountSpeculativeTrigger() {
-    Bump(speculative_triggers, speculative_metric);
-  }
-  void CountWriteFailure() { Bump(write_failures, write_failures_metric); }
-  void CountWriteBackoff() { Bump(write_backoffs, write_backoff_metric); }
-  void AddUsefulBytes(uint64_t n) {
-    useful_bytes_written.fetch_add(n, std::memory_order_relaxed);
-    if (useful_bytes_metric != nullptr) useful_bytes_metric->Add(n);
-  }
-  void AddRowsDelivered(uint64_t n) {
-    rows_delivered.fetch_add(n, std::memory_order_relaxed);
-    if (rows_delivered_metric != nullptr) rows_delivered_metric->Add(n);
-  }
-  void AddBytesConverted(uint64_t n) {
-    bytes_converted.fetch_add(n, std::memory_order_relaxed);
-    if (bytes_converted_metric != nullptr) bytes_converted_metric->Add(n);
-  }
-  void AddTokenizeRanges(uint64_t n) {
+  // Adds `n` to `field` in this profile, in its registry mirror, and in
+  // `run` — the counts of the query the event belongs to — when non-null.
+  void Add(Field field, uint64_t n, ChunkCounts* run) {
     if (n == 0) return;
-    tokenize_ranges.fetch_add(n, std::memory_order_relaxed);
-    if (tokenize_ranges_metric != nullptr) tokenize_ranges_metric->Add(n);
+    if (run != nullptr) (run->*field).fetch_add(n, std::memory_order_relaxed);
+    (this->*field).fetch_add(n, std::memory_order_relaxed);
+    for (size_t i = 0; i < std::size(kNamed); ++i) {
+      if (kNamed[i].field == field && mirrors[i] != nullptr) mirrors[i]->Add(n);
+    }
   }
-  void AddTokenizeMisspeculations(uint64_t n) {
-    if (n == 0) return;
-    tokenize_misspeculations.fetch_add(n, std::memory_order_relaxed);
-    if (tokenize_misspec_metric != nullptr) tokenize_misspec_metric->Add(n);
-  }
-  void AddTokenizeRepairBytes(uint64_t n) {
-    if (n == 0) return;
-    tokenize_repair_bytes.fetch_add(n, std::memory_order_relaxed);
-    if (tokenize_repair_metric != nullptr) tokenize_repair_metric->Add(n);
-  }
-  void AddBytesTokenized(uint64_t n) {
-    if (n == 0) return;
-    bytes_tokenized.fetch_add(n, std::memory_order_relaxed);
-    if (bytes_tokenized_metric != nullptr) bytes_tokenized_metric->Add(n);
-  }
-  void CountPosmapDiskChunk() { Bump(posmap_disk_chunks, posmap_disk_metric); }
 
   // Zeroes the stopwatches, the counters, and — when bound — the
   // registry-backed mirrors (histograms included).
@@ -172,12 +153,6 @@ struct PipelineProfile {
   // would observe (and write into) a half-cleared profile. Quiesce the
   // operator first: finish every QueryRun and drain WaitForWrites().
   void Reset();
-
- private:
-  static void Bump(std::atomic<uint64_t>& local, obs::Counter* mirror) {
-    local.fetch_add(1, std::memory_order_relaxed);
-    if (mirror != nullptr) mirror->Add(1);
-  }
 };
 
 // Live pipeline utilization, relayed to the database resource manager
@@ -288,10 +263,14 @@ class ScanRaw {
 
   // EXPLAIN ANALYZE variant: same execution, but when `explain` is non-null
   // it is filled with the query's span profile (per-stage busy time,
-  // critical path), chunk provenance and pruning deltas, speculative-write
-  // payoff, and cache / positional-map hit rates. Deltas are computed
-  // against the operator's shared counters, so the report is meaningful for
-  // one query at a time; concurrent queries fold together.
+  // critical path), chunk provenance and pruning, speculative-write payoff,
+  // and cache / positional-map hit rates. Every count comes from the
+  // query's own run, so concurrent queries on one operator each report
+  // exactly their own chunks. Only the DISK_WAIT and THROTTLE_WAIT spans are
+  // deltas of the arbiter's and limiter's cumulative wait totals: those
+  // devices are shared, so a concurrent query's waits can show up there.
+  // Background writes are credited to the query that is active when they
+  // land, and the report waits for the write queue to drain first.
   Result<QueryResult> ExecuteQuery(const QuerySpec& spec,
                                    obs::ExplainReport* explain);
 
@@ -366,30 +345,23 @@ class ScanRaw {
   bool EnqueueWrite(uint64_t chunk_index, BinaryChunkPtr chunk);
 
   // Speculative trigger: called when READ blocks on a full text buffer.
-  // Writes the oldest unloaded cached chunk, one at a time (§4).
-  void MaybeTriggerSpeculativeWrite();
+  // Writes the oldest unloaded cached chunk, one at a time (§4). `run` is
+  // the blocked query's counts.
+  void MaybeTriggerSpeculativeWrite(ChunkCounts* run);
 
   // End-of-scan safeguard (§4): queue every unloaded cached chunk.
   void SafeguardFlush();
 
+  // Appends one executed query's event to options_.query_log (no-op when
+  // unset), built from the query's EXPLAIN report. A failed query (null
+  // `report` and `result`) logs only its spec, policy, wall time and error,
+  // so it still advances the history's recency clock.
+  void LogQuery(const QuerySpec& spec, const Status& status,
+                double wall_seconds, const obs::ExplainReport* report,
+                const QueryResult* result, uint64_t bytes_read);
+
   // Stand-alone WRITE thread body (runs for the operator's lifetime).
   void WriteLoop();
-
-  // The WRITE thread outlives any single query, so per-query observers
-  // (span profiler, progress tracker) and the query's required-column set
-  // (for useful-byte attribution of background writes) register here for
-  // the query's duration; cleared before the QueryRun is destroyed.
-  void RegisterObservers(obs::SpanProfiler* profiler,
-                         obs::ProgressTracker* progress,
-                         const std::vector<size_t>& required_columns);
-  void UnregisterObservers(obs::SpanProfiler* profiler,
-                           obs::ProgressTracker* progress);
-  // WRITE-thread hooks into the active observers (no-ops when none).
-  void RecordWriteSpan(int64_t start_nanos, int64_t dur_nanos);
-  void NoteChunkLoaded();
-  // How many of `columns` the active query's spec required.
-  size_t CountRequiredOverlap(const std::vector<size_t>& columns) const
-      EXCLUDES(active_mu_);
 
   // Folds a freshly converted chunk into the sketches exactly once.
   void MaybeUpdateSketches(const BinaryChunk& chunk);
@@ -403,9 +375,8 @@ class ScanRaw {
 
   ChunkCache cache_;
   PositionalMapCache positional_maps_;
-  // Buffer recycler shared by READ/PARSE and the chunk release paths; null
-  // when options.reuse_buffers is off. Set once in the constructor.
-  std::shared_ptr<ChunkBufferPool> buffer_pool_;
+  // Buffer recycler shared by READ/PARSE and the chunk release paths.
+  const std::shared_ptr<ChunkBufferPool> buffer_pool_;
   TableSketches sketches_;
   // Chunks already folded into the sketches, so re-scans do not bias the
   // reservoir sample (the KMV sketch is naturally idempotent).
@@ -418,17 +389,16 @@ class ScanRaw {
   // Watchdog heartbeat board from the telemetry sink (null when telemetry
   // is unset); stages beat through this on every chunk boundary.
   obs::StageHeartbeats* heartbeats_ = nullptr;
-  IoStats raw_io_stats_;
 
   // Chunks with a write queued or in flight, to keep loading exactly-once.
   Mutex pending_mu_{LockRank::kScanPending, "ScanRaw.pending_mu"};
   std::set<uint64_t> pending_writes_ GUARDED_BY(pending_mu_);
 
-  // Per-query observers of the shared WRITE thread (see RegisterObservers).
+  // The query the WRITE thread credits its stage records and counts to: the
+  // most recently started run, registered for its lifetime and cleared
+  // before it is destroyed (null when no query is running).
   mutable Mutex active_mu_{LockRank::kScanActive, "ScanRaw.active_mu"};
-  obs::SpanProfiler* active_profiler_ GUARDED_BY(active_mu_) = nullptr;
-  obs::ProgressTracker* active_progress_ GUARDED_BY(active_mu_) = nullptr;
-  std::set<size_t> active_required_ GUARDED_BY(active_mu_);
+  QueryRun::Impl* active_run_ GUARDED_BY(active_mu_) = nullptr;
 
   // WRITE thread state.
   BoundedQueue<WriteRequest> write_queue_;

@@ -158,16 +158,6 @@ TEST(StopwatchTest, AccumulatesIntervals) {
   EXPECT_EQ(watch.TotalNanos(), 0);
 }
 
-TEST(StopwatchTest, ScopedTimerCharges) {
-  VirtualClock clock;
-  Stopwatch watch(&clock);
-  {
-    ScopedTimer timer(&watch, &clock);
-    clock.AdvanceNanos(33);
-  }
-  EXPECT_EQ(watch.TotalNanos(), 33);
-}
-
 TEST(StopwatchTest, ThreadSafeAccumulation) {
   Stopwatch watch;
   std::vector<std::thread> threads;

@@ -278,32 +278,6 @@ TEST(JsonEscapeTest, ControlCharactersUseUnicodeEscapes) {
   EXPECT_EQ(JsonEscape(""), "");
 }
 
-TEST(SpanRecorderTest, RecordsIntoTracerAndHistogram) {
-  ChunkTracer tracer(16);
-  Histogram latency;
-  {
-    SpanRecorder span(&tracer, &latency, TraceStage::kWrite,
-                      ChunkSource::kRaw);
-    span.set_chunk_index(42);
-  }
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].stage, TraceStage::kWrite);
-  EXPECT_EQ(events[0].chunk_index, 42u);
-  EXPECT_EQ(latency.count(), 1u);
-}
-
-TEST(SpanRecorderTest, CancelSuppressesTraceButNotHistogram) {
-  ChunkTracer tracer(16);
-  Histogram latency;
-  {
-    SpanRecorder span(&tracer, &latency, TraceStage::kRead, ChunkSource::kRaw);
-    span.Cancel();
-  }
-  EXPECT_TRUE(tracer.Snapshot().empty());
-  EXPECT_EQ(latency.count(), 1u);
-}
-
 TEST(ResourceLogTest, BoundedRing) {
   ResourceLog log(3);
   for (int i = 0; i < 5; ++i) {

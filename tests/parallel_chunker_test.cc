@@ -413,11 +413,11 @@ TEST(QuotedDialectTest, GeneratedFileRoundTripsThroughChunker) {
   EXPECT_GT((*chunker)->speculation().ranges, 0u);
 }
 
-// Full-stack: chunks big enough to split (>= 128 KB) must engage the
-// parallel tier inside ScanRaw's TOKENIZE stage — visible as
-// scanraw.tokenize.ranges exceeding the chunk count — while answers stay
-// exact, and the frozen sequential tier (parallel_tokenize = false) must
-// return the same sums without fanning out ranges.
+// Full-stack: chunks big enough to split must fan TOKENIZE out over the
+// shared pool when the query has workers, visible as scanraw.tokenize.ranges
+// exceeding the chunk count, while answers stay exact. The sequential
+// configuration (num_workers = 0) runs the same TOKENIZE as one range per
+// chunk on the caller's thread and must return the same sums.
 TEST(ScanRawParallelTest, BigChunksEngageParallelTokenizeExactly) {
   const std::string path = testing::TempDir() + "/parallel_e2e.csv";
   CsvSpec spec;
@@ -430,16 +430,15 @@ TEST(ScanRawParallelTest, BigChunksEngageParallelTokenizeExactly) {
   QuerySpec q;
   for (size_t c = 0; c < spec.num_columns; ++c) q.sum_columns.push_back(c);
 
-  for (const bool parallel : {true, false}) {
+  for (const size_t workers : {2, 0}) {
     ScanRawManager::Config config;
-    config.db_path = path + (parallel ? ".par.db" : ".seq.db");
+    config.db_path = path + ".w" + std::to_string(workers) + ".db";
     auto manager = ScanRawManager::Create(config);
     ASSERT_TRUE(manager.ok());
     ScanRawOptions options;
     options.policy = LoadPolicy::kExternalTables;
-    options.num_workers = 2;
+    options.num_workers = workers;
     options.chunk_rows = 16384;
-    options.parallel_tokenize = parallel;
     ASSERT_TRUE(
         (*manager)->RegisterRawFile("t", path, CsvSchema(spec), options).ok());
 
@@ -453,10 +452,10 @@ TEST(ScanRawParallelTest, BigChunksEngageParallelTokenizeExactly) {
                                 ->metrics()
                                 .GetCounter("scanraw.tokenize.ranges")
                                 ->value();
-    if (parallel) {
+    if (workers > 0) {
       EXPECT_GT(ranges, 2u);  // more ranges than chunks = real fan-out
     } else {
-      EXPECT_EQ(ranges, 0u);
+      EXPECT_EQ(ranges, 2u);  // one range per chunk: no fan-out
     }
   }
 }

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/csv_generator.h"
@@ -445,7 +447,6 @@ TEST(ExplainE2eTest, SkippedChunksSurfaceInReport) {
   // all of them.
   ScanRawOptions options = BaseOptions();
   options.policy = LoadPolicy::kFullLoad;
-  options.collect_stats = true;
   auto f = Fixture::Make("explain_skip", options);
   // Sum every column so the full load materializes complete chunks (a
   // narrower query would load only the touched columns and the table
@@ -484,6 +485,77 @@ TEST(ExplainE2eTest, SkippedChunksSurfaceInReport) {
   EXPECT_EQ(heap_result->rows_matched, 0u);
   EXPECT_EQ(retired.chunks_skipped, 8u);
   EXPECT_EQ(retired.chunks_from_db, 0u);
+}
+
+// The discovery scan's final READ step only probes for EOF. It reads no
+// chunk, so it must not count as one: the READ stopwatch, the READ latency
+// histogram and the EXPLAIN READ spans all count exactly the 8 chunks.
+TEST(ExplainE2eTest, DiscoveryEofProbeIsNotAChunkRead) {
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kExternalTables;
+  auto f = Fixture::Make("eof_probe", options);
+  QuerySpec q;
+  q.sum_columns = {0};
+
+  obs::ExplainReport report;
+  auto result = f.manager->Query("t", q, &report);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows_scanned, 4000u);
+  ScanRaw* op = f.manager->GetOperator("t");
+  ASSERT_NE(op, nullptr);
+
+  EXPECT_EQ(op->profile().read_time.intervals(), 8);
+  EXPECT_EQ(f.manager->telemetry()
+                ->metrics()
+                .GetHistogram("scanraw.stage.read_nanos")
+                ->count(),
+            8u);
+  uint64_t read_spans = 0;
+  for (const obs::ExplainStage& stage : report.stages) {
+    if (stage.name == "READ") read_spans = stage.spans;
+  }
+  EXPECT_EQ(read_spans, 8u);
+}
+
+// EXPLAIN is query-scoped: two threads running EXPLAIN queries on one
+// operator at once must each see exactly their own query's chunks, never
+// the other thread's.
+TEST(ExplainE2eTest, ConcurrentExplainReportsOwnChunksOnly) {
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kExternalTables;
+  options.cache_capacity_chunks = 8;
+  auto f = Fixture::Make("explain_concurrent", options);
+  QuerySpec q;
+  q.sum_columns = {0, 1};
+  ASSERT_TRUE(f.manager->Query("t", q).ok());  // warms the cache
+  ScanRaw* op = f.manager->GetOperator("t");
+  ASSERT_NE(op, nullptr);
+  ASSERT_EQ(op->cache().size(), 8u);
+
+  constexpr int kQueriesPerThread = 200;
+  std::atomic<int> failed{0};
+  std::atomic<int> wrong{0};
+  auto worker = [&] {
+    for (int i = 0; i < kQueriesPerThread; ++i) {
+      obs::ExplainReport report;
+      if (!op->ExecuteQuery(q, &report).ok()) {
+        failed.fetch_add(1);
+        continue;
+      }
+      if (report.chunks_from_cache + report.chunks_from_db +
+                  report.chunks_from_raw + report.chunks_skipped !=
+              8u ||
+          report.bytes_tokenized != 0u) {
+        wrong.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(worker);
+  std::thread b(worker);
+  a.join();
+  b.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0) << "of " << 2 * kQueriesPerThread << " reports";
 }
 
 TEST(ExplainE2eTest, ProgressCallbackFiresWithTotals) {

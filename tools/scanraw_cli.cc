@@ -13,7 +13,6 @@
 //   --policy P            speculative|external|full|invisible|buffered
 //   --workers N           conversion worker threads (default 4)
 //   --chunk-rows N        rows per chunk (default 65536)
-//   --no-parallel-tokenize  frozen sequential TOKENIZE (parallel is default)
 //   --quoted-csv          RFC-4180 quoted fields for delimited-text tables
 //   --persist-posmap      persist each table's positional maps to a
 //                         checksummed sidecar (CATALOG.posmap.TABLE, saved
@@ -164,8 +163,7 @@ void Usage() {
                "[--catalog PATH]\n"
                "                   [--bandwidth-mb N] [--policy P] "
                "[--workers N] [--chunk-rows N]\n"
-               "                   [--no-parallel-tokenize] [--quoted-csv] "
-               "[--persist-posmap]\n"
+               "                   [--quoted-csv] [--persist-posmap]\n"
                "                   [--metrics[=json|text]] "
                "[--explain[=json|text]] [--progress]\n"
                "                   [--progress-interval-ms N] "
@@ -257,10 +255,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("bad --chunk-rows");
       }
       options.scan_options.chunk_rows = *n;
-    } else if (arg == "--parallel-tokenize") {
-      options.scan_options.parallel_tokenize = true;
-    } else if (arg == "--no-parallel-tokenize") {
-      options.scan_options.parallel_tokenize = false;
     } else if (arg == "--quoted-csv") {
       options.scan_options.quoted_fields = true;
     } else if (arg == "--persist-posmap") {
