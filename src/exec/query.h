@@ -6,9 +6,12 @@
 #define SCANRAW_EXEC_QUERY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "columnar/binary_chunk.h"
@@ -80,27 +83,59 @@ struct QueryResult {
   }
 };
 
-// Accumulates a query over a sequence of chunks. Not thread-safe; the
-// execution engine consumes chunks on a single thread (the paper's engine
-// parallelizes internally, which is orthogonal to ScanRaw).
+// Accumulates a query over a sequence of chunks, one batch per chunk: every
+// required column is resolved and type-checked once per chunk, the
+// predicate writes the matching rows into a selection vector, and the
+// aggregates fold typed arrays over that selection (or over every row when
+// there is no predicate). Not thread-safe; the execution engine consumes
+// chunks on a single thread (the paper's engine parallelizes internally,
+// which is orthogonal to ScanRaw).
 class QueryExecutor {
  public:
   explicit QueryExecutor(QuerySpec spec);
 
   // Folds one chunk into the running aggregate. The chunk must carry every
-  // required column.
+  // required column, with one value per row; LIKE needs a string column,
+  // and range, SUM and MIN/MAX need numeric ones (InvalidArgument
+  // otherwise).
   Status Consume(const BinaryChunk& chunk);
 
   // Returns the final aggregate. Consume must not be called afterwards.
   QueryResult Finish();
 
  private:
-  // Row-level predicate check.
-  bool Matches(const BinaryChunk& chunk, size_t row) const;
+  // Heterogeneous lookup, so a chunk's string_view key finds its group
+  // without building a string.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>()(key);
+    }
+  };
+
+  // Fills columns_ for `chunk` and checks each column's length and type.
+  Status ResolveColumns(const BinaryChunk& chunk);
+  // The current chunk's column `col`, as ResolveColumns found it.
+  const ColumnVector& Column(size_t col) const;
+  // Folds the rows of the current chunk that `rows` names into result_.
+  template <typename Rows>
+  void Fold(Rows rows);
+  template <typename Rows>
+  void FoldGroups(const ColumnVector& keys, Rows rows);
 
   QuerySpec spec_;
   std::vector<size_t> required_columns_;  // spec_.RequiredColumns()
   QueryResult result_;
+  // Per-chunk state, reused across chunks: the required columns (parallel
+  // to required_columns_, read only inside Consume), the matching rows, and
+  // with GROUP BY each matching row's sum over spec_.sum_columns.
+  std::vector<const ColumnVector*> columns_;
+  std::vector<uint32_t> selection_;
+  std::vector<uint64_t> row_sums_;
+  // GROUP BY aggregates by key value; Finish() builds each key's string.
+  std::unordered_map<int64_t, GroupAggregate> numeric_groups_;
+  std::unordered_map<std::string, GroupAggregate, KeyHash, std::equal_to<>>
+      string_groups_;
 };
 
 // Pull-based chunk source: ScanRaw query runs and HeapScan adapters both

@@ -46,9 +46,7 @@ std::string_view ChunkSourceName(ChunkSource source) {
   return "unknown";
 }
 
-ChunkTracer::ChunkTracer(size_t capacity) : capacity_(capacity) {
-  ring_.resize(capacity_);
-}
+ChunkTracer::ChunkTracer(size_t capacity) : capacity_(capacity) {}
 
 void ChunkTracer::SetLabel(std::string label) {
   MutexLock lock(mu_);
@@ -63,7 +61,13 @@ std::string ChunkTracer::label() const {
 void ChunkTracer::Record(const TraceEvent& event) {
   if (capacity_ == 0) return;
   MutexLock lock(mu_);
-  ring_[next_ % capacity_] = event;
+  // The ring grows to capacity_ on demand, then wraps: a tracer nothing
+  // records into costs no memory.
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);
+  } else {
+    ring_[next_ % capacity_] = event;
+  }
   ++next_;
 }
 
@@ -110,6 +114,7 @@ uint64_t ChunkTracer::dropped() const {
 
 void ChunkTracer::Clear() {
   MutexLock lock(mu_);
+  ring_.clear();
   next_ = 0;
 }
 

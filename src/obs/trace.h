@@ -53,8 +53,9 @@ struct TraceEvent {
 
 class ChunkTracer {
  public:
-  // `capacity` bounds the ring; once full, the oldest events are
-  // overwritten (dropped() reports how many). 0 disables recording.
+  // `capacity` bounds the ring, which grows as events arrive; once full,
+  // the oldest events are overwritten (dropped() reports how many). 0
+  // disables recording.
   explicit ChunkTracer(size_t capacity = 1 << 14);
 
   bool enabled() const { return capacity_ > 0; }
@@ -88,8 +89,8 @@ class ChunkTracer {
   const size_t capacity_;
   mutable Mutex mu_{LockRank::kChunkTracer, "ChunkTracer.mu"};
   std::string label_ GUARDED_BY(mu_);
-  std::vector<TraceEvent> ring_ GUARDED_BY(mu_);
-  // Total recorded; ring slot is next_ % capacity_.
+  std::vector<TraceEvent> ring_ GUARDED_BY(mu_);  // at most capacity_
+  // Total recorded since Clear(); ring slot is next_ % capacity_.
   uint64_t next_ GUARDED_BY(mu_) = 0;
 };
 

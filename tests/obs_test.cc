@@ -221,6 +221,60 @@ TEST(ChunkTracerTest, RingWrapKeepsNewestAndCountsDropped) {
   EXPECT_EQ(tracer.dropped(), 6u);
 }
 
+// Chunk indexes of the tracer's snapshot, oldest first.
+std::vector<uint64_t> SnapshotChunks(const ChunkTracer& tracer) {
+  std::vector<uint64_t> chunks;
+  for (const TraceEvent& e : tracer.Snapshot()) chunks.push_back(e.chunk_index);
+  return chunks;
+}
+
+void RecordChunks(ChunkTracer* tracer, uint64_t first, uint64_t count) {
+  for (uint64_t i = first; i < first + count; ++i) {
+    tracer->RecordSpan(TraceStage::kRead, ChunkSource::kRaw, i, 1000 + i, 1);
+  }
+}
+
+TEST(ChunkTracerTest, PartlyFilledRingSnapshotsInRecordOrder) {
+  ChunkTracer tracer(8);
+  EXPECT_TRUE(tracer.Snapshot().empty());
+  RecordChunks(&tracer, 0, 5);
+  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(tracer.recorded(), 5u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+TEST(ChunkTracerTest, RingWrapsExactlyAtCapacity) {
+  ChunkTracer tracer(4);
+  RecordChunks(&tracer, 0, 4);
+  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(tracer.dropped(), 0u);
+  RecordChunks(&tracer, 4, 1);
+  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(tracer.dropped(), 1u);
+  RecordChunks(&tracer, 5, 6);
+  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{7, 8, 9, 10}));
+  EXPECT_EQ(tracer.recorded(), 11u);
+  EXPECT_EQ(tracer.dropped(), 7u);
+}
+
+TEST(ChunkTracerTest, ClearThenRecordSnapshotsOnlyNewEvents) {
+  ChunkTracer tracer(8);
+  RecordChunks(&tracer, 0, 3);
+  tracer.Clear();
+  EXPECT_TRUE(tracer.Snapshot().empty());
+  RecordChunks(&tracer, 100, 2);
+  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{100, 101}));
+  EXPECT_EQ(tracer.recorded(), 2u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  // A wrapped ring cleared and refilled past capacity wraps afresh.
+  RecordChunks(&tracer, 102, 10);
+  tracer.Clear();
+  RecordChunks(&tracer, 200, 9);
+  EXPECT_EQ(SnapshotChunks(tracer),
+            (std::vector<uint64_t>{201, 202, 203, 204, 205, 206, 207, 208}));
+  EXPECT_EQ(tracer.dropped(), 1u);
+}
+
 TEST(ChunkTracerTest, ZeroCapacityDisablesRecording) {
   ChunkTracer tracer(0);
   EXPECT_FALSE(tracer.enabled());

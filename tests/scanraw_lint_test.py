@@ -743,6 +743,47 @@ class LintTest(unittest.TestCase):
         code, out = self.lint("src/io/foo_test.cc")
         self.assertEqual(code, 0, out)
 
+    # ---- numeric-at ----
+
+    def test_numeric_at_caught_in_exec(self):
+        self.write("src/exec/query.cc",
+                   "for (size_t r = 0; r < rows; ++r) {\n"
+                   "  sum += chunk.column(c).NumericAt(r);\n}\n")
+        code, out = self.lint("src/exec/query.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("src/exec/query.cc:2: [numeric-at]", out)
+
+    def test_numeric_at_allowed_with_reason_passes(self):
+        self.write("src/exec/query.cc",
+                   "// scanraw-lint: allow(numeric-at) one value per chunk\n"
+                   "const int64_t first = col.NumericAt(0);\n")
+        code, out = self.lint("src/exec/query.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_numeric_at_allow_without_reason_caught(self):
+        self.write("src/exec/query.cc",
+                   "const int64_t first = col.NumericAt(0);  "
+                   "// scanraw-lint: allow(numeric-at)\n")
+        code, out = self.lint("src/exec/query.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("[numeric-at]", out)
+
+    def test_numeric_at_outside_exec_or_in_test_passes(self):
+        self.write("src/columnar/chunk_sort.cc",
+                   "return key.NumericAt(a) < key.NumericAt(b);\n")
+        self.write("src/exec/query_test.cc", "EXPECT_EQ(v.NumericAt(0), 1);\n")
+        code, out = self.lint("src/columnar/chunk_sort.cc",
+                              "src/exec/query_test.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_numeric_at_real_engine_passes(self):
+        repo = os.path.dirname(os.path.dirname(LINT))
+        proc = subprocess.run(
+            [sys.executable, LINT, os.path.join(repo, "src", "exec")],
+            capture_output=True, text=True,
+            env=dict(os.environ, SCANRAW_LINT_ROOT=repo))
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+
     def test_clean_tree_exits_zero(self):
         self.write("src/io/a.cc", 'Mutex a{LockRank::kLeaf, "a"};\n')
         self.write("src/io/foo.h", self.good_header())

@@ -61,6 +61,11 @@ thread-spawn     Starting a thread (std::thread / std::jthread construction,
                  `// scanraw-lint: allow(thread-spawn) <reason>`, so a
                  per-query thread cannot come back without review. The
                  allow marker needs the reason.
+numeric-at       `NumericAt(` in src/exec/ non-test code. It is a per-value
+                 type switch, reached per row through a std::map column
+                 lookup; the engine resolves each column once per chunk and
+                 runs kernels typed on the column's array. Like thread-spawn,
+                 the allow marker needs a reason.
 
 Suppressions: append `// scanraw-lint: allow(<rule>)` to the offending line
 or place it on the line directly above.
@@ -149,6 +154,12 @@ THREAD_SPAWN_RE = re.compile(
     r"\bstd::async\s*\(")
 ALLOW_THREAD_SPAWN_RE = re.compile(
     r"//\s*scanraw-lint:\s*allow\(thread-spawn\)\s*\S")
+
+# numeric-at: the execution engine, where per-value access is banned.
+NUMERIC_AT_DIRS = ("src/exec/",)
+NUMERIC_AT_RE = re.compile(r"\bNumericAt\s*\(")
+ALLOW_NUMERIC_AT_RE = re.compile(
+    r"//\s*scanraw-lint:\s*allow\(numeric-at\)\s*\S")
 
 # byte-loop: hot-path directories where per-byte scan loops are banned.
 BYTE_LOOP_DIRS = ("src/format/", "src/scanraw/")
@@ -309,9 +320,13 @@ def check_stderr_write(rel, lines, findings):
                              "sanctioned writer)"))
 
 
-def check_byte_loop(rel, lines, findings):
+def in_dirs(rel, dirs):
     norm = rel.replace(os.sep, "/")
-    if not any(norm.startswith(d) or f"/{d}" in norm for d in BYTE_LOOP_DIRS):
+    return any(norm.startswith(d) or f"/{d}" in norm for d in dirs)
+
+
+def check_byte_loop(rel, lines, findings):
+    if not in_dirs(rel, BYTE_LOOP_DIRS):
         return
     for i, line in enumerate(lines):
         code = strip_comments(line)
@@ -471,6 +486,22 @@ def check_thread_spawn(rel, lines, findings):
                          "`// scanraw-lint: allow(thread-spawn) <reason>`"))
 
 
+def check_numeric_at(rel, lines, findings):
+    if not in_dirs(rel, NUMERIC_AT_DIRS):
+        return
+    for i, line in enumerate(lines):
+        if not NUMERIC_AT_RE.search(strip_comments(line)):
+            continue
+        if any(ALLOW_NUMERIC_AT_RE.search(lines[k])
+               for k in (i, i - 1) if k >= 0):
+            continue
+        findings.append((rel, i + 1, "numeric-at",
+                         "per-value NumericAt in the execution engine; "
+                         "resolve the column once per chunk and run a "
+                         "kernel over its typed array, or add "
+                         "`// scanraw-lint: allow(numeric-at) <reason>`"))
+
+
 def is_test_file(rel):
     base = os.path.basename(rel)
     return ("test" in base) or ("/tests/" in rel.replace(os.sep, "/"))
@@ -495,6 +526,7 @@ def lint_file(path, findings):
         check_mutex_rank(rel, lines, findings)
         check_condvar_wait_loop(rel, lines, findings)
         check_thread_spawn(rel, lines, findings)
+        check_numeric_at(rel, lines, findings)
     check_unchecked_value(rel, lines, findings)
     if rel.endswith(".h"):
         check_include_guard(rel, lines, findings)
