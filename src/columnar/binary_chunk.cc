@@ -5,12 +5,12 @@
 namespace scanraw {
 
 Status BinaryChunk::AddColumn(size_t col, ColumnVector vector) {
-  if (num_rows_ != 0 && vector.size() != num_rows_) {
+  if ((num_rows_ != 0 || !columns_.empty()) && vector.size() != num_rows_) {
     return Status::InvalidArgument(StringPrintf(
         "column %zu has %zu rows, chunk has %zu", col, vector.size(),
         num_rows_));
   }
-  if (num_rows_ == 0) num_rows_ = vector.size();
+  num_rows_ = vector.size();
   columns_[col] = std::move(vector);
   return Status::OK();
 }

@@ -36,7 +36,8 @@ class BinaryChunk {
   size_t num_columns() const { return columns_.size(); }
 
   // Adds (or replaces) column `col`. The vector's length must equal
-  // num_rows() if rows were already set; otherwise it defines num_rows().
+  // num_rows() if rows were already set or the chunk holds a column (even
+  // an empty one); otherwise it defines num_rows().
   Status AddColumn(size_t col, ColumnVector vector);
 
   // Requires HasColumn(col).

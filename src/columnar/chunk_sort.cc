@@ -42,6 +42,11 @@ Result<std::vector<uint32_t>> SortPermutation(const BinaryChunk& chunk,
         StringPrintf("chunk lacks sort column %zu", column));
   }
   const ColumnVector& key = chunk.column(column);
+  if (key.size() != chunk.num_rows()) {
+    return Status::InvalidArgument(StringPrintf(
+        "sort column %zu has %zu rows, chunk has %zu", column, key.size(),
+        chunk.num_rows()));
+  }
   std::vector<uint32_t> perm(chunk.num_rows());
   std::iota(perm.begin(), perm.end(), 0);
   if (key.type() == FieldType::kString) {

@@ -75,6 +75,21 @@ std::string PosmapSidecarPath(const std::string& catalog_path,
   return catalog_path + ".posmap." + table;
 }
 
+namespace {
+
+// True when every field of `map` spans start <= end <= chunk_size.
+bool SpansWithin(const PositionalMap& map, uint64_t chunk_size) {
+  for (size_t r = 0; r < map.num_rows(); ++r) {
+    for (size_t f = 0; f < map.fields_per_row(); ++f) {
+      const uint32_t end = map.FieldEnd(r, f);
+      if (map.FieldStart(r, f) > end || end > chunk_size) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Result<PosmapSidecar> LoadPosmapSidecar(const std::string& path,
                                         const TableMetadata& table) {
   if (!FileExists(path)) {
@@ -112,14 +127,19 @@ Result<PosmapSidecar> LoadPosmapSidecar(const std::string& path,
   sidecar.dialect = header.dialect;
   sidecar.entries.reserve(decoded->size());
   for (auto& entry : *decoded) {
-    // Cross-check against the catalog layout when known; a map for a chunk
-    // the catalog does not have (or with a different row count) is skipped
+    // A persisted map goes straight to PARSE, which reads every span it
+    // holds, so it must fit the catalog's chunk: the chunk exists, the row
+    // counts agree and every span lies inside the chunk's bytes. Checksums
+    // alone prove none of that. A map that fails (or any map while the
+    // layout is unknown, when nothing can check it) is skipped
     // individually — the rest of the sidecar is still good.
-    if (table.layout_known) {
-      if (entry.chunk_index >= table.chunks.size()) continue;
-      if (entry.map->num_rows() != table.chunks[entry.chunk_index].num_rows) {
-        continue;
-      }
+    if (!table.layout_known || entry.chunk_index >= table.chunks.size()) {
+      continue;
+    }
+    const ChunkMetadata& chunk = table.chunks[entry.chunk_index];
+    if (entry.map->num_rows() != chunk.num_rows ||
+        !SpansWithin(*entry.map, chunk.raw_size)) {
+      continue;
     }
     sidecar.entries.emplace_back(entry.chunk_index, std::move(entry.map));
   }

@@ -68,7 +68,9 @@ std::string PosmapSidecarPath(const std::string& catalog_path,
 // sidecar is torn, records a different table, or no longer matches the raw
 // file's exact stat (size + mtime) — a stale index must be dropped, never
 // reused. Entries whose chunk index or row count disagree with the catalog
-// layout are skipped individually. The returned dialect still needs
+// layout, or with a field span outside start <= end <= the chunk's
+// raw_size, are skipped individually, and so is every entry while the
+// layout is unknown. The returned dialect still needs
 // checking against the live TokenizeOptions at attach time (options attach
 // after catalog load).
 Result<PosmapSidecar> LoadPosmapSidecar(const std::string& path,

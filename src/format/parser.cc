@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/byte_scan.h"
 #include "common/string_util.h"
 
 namespace scanraw {
@@ -169,6 +170,90 @@ Status FieldError(const TextChunk& chunk, size_t r, size_t c,
           std::string(s.message()));
 }
 
+#if SCANRAW_BYTE_SCAN_SIMD
+
+bool HaveSse41() {
+  static const bool have = __builtin_cpu_supports("sse4.1") != 0;
+  return have;
+}
+
+// Sliding window for the keep mask: the 16 bytes at kKeepWindow + len are
+// 0 in the first 16 - len lanes and 0xFF in the last len lanes.
+constexpr char kKeepWindow[32] = {0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,
+                                  0,  0,  0,  0,  0,  -1, -1, -1, -1, -1, -1,
+                                  -1, -1, -1, -1, -1, -1, -1, -1, -1, -1};
+
+// Branch-free decode of the 1..16-byte field that ends at `end`; the 16
+// bytes before `end` must be readable. Lanes before the field are forced to
+// '0', so the field's digits sit right-aligned in a 16-digit number that
+// maddubs/madd/packus/madd reduce to two 8-digit halves. Accepts exactly
+// what TryParseUint32 accepts for such a field: digits only, value at most
+// UINT32_MAX (leading zeros allowed).
+__attribute__((target("sse4.1"))) inline bool DecodeUint32x16(
+    const char* end, uint32_t len, uint32_t* out) {
+  const __m128i zero = _mm_set1_epi8('0');
+  const __m128i text =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(end - 16));
+  const __m128i keep =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(kKeepWindow + len));
+  const __m128i digits = _mm_sub_epi8(_mm_blendv_epi8(zero, text, keep), zero);
+  // A byte is a digit iff byte - '0', read unsigned, is at most 9.
+  const __m128i above_nine = _mm_subs_epu8(digits, _mm_set1_epi8(9));
+  const __m128i d2 = _mm_maddubs_epi16(
+      digits, _mm_setr_epi8(10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1,
+                            10, 1));
+  const __m128i d4 =
+      _mm_madd_epi16(d2, _mm_setr_epi16(100, 1, 100, 1, 100, 1, 100, 1));
+  const __m128i d8 = _mm_madd_epi16(
+      _mm_packus_epi32(d4, d4),
+      _mm_setr_epi16(10000, 1, 10000, 1, 10000, 1, 10000, 1));
+  const uint64_t hi = static_cast<uint32_t>(_mm_cvtsi128_si32(d8));
+  const uint64_t lo = static_cast<uint32_t>(_mm_extract_epi32(d8, 1));
+  const uint64_t value = hi * 100000000 + lo;
+  *out = static_cast<uint32_t>(value);
+  return (_mm_testz_si128(above_nine, above_nine) != 0) &
+         (value <= UINT32_MAX);
+}
+
+template <typename SpanFn>
+__attribute__((target("sse4.1"))) size_t DecodeUint32sSse41(
+    std::string_view data, size_t n, uint32_t* dst, SpanFn span) {
+  const char* base = data.data();
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t s = 0;
+    uint32_t e = 0;
+    span(i, &s, &e);
+    const uint32_t len = e - s;
+    // The kernel reads [e - 16, e): only fields that fit in it and lie at
+    // least 16 bytes into the buffer take it.
+    const bool ok = len - 1 < 16 && e >= 16 && e <= data.size()
+                        ? DecodeUint32x16(base + e, len, &dst[i])
+                        : TryParseUint32(base + s, base + e, &dst[i]);
+    if (!ok) return i;
+  }
+  return n;
+}
+
+#endif  // SCANRAW_BYTE_SCAN_SIMD
+
+// Decodes `n` u32 fields into dst[0, n); field i spans [s, e) of `data` as
+// `span(i, &s, &e)` reports it. Returns the index of the first field that
+// is not a valid u32, or n. The CPU check runs once per call, not per field.
+template <typename SpanFn>
+size_t DecodeUint32s(std::string_view data, size_t n, uint32_t* dst,
+                     SpanFn span) {
+#if SCANRAW_BYTE_SCAN_SIMD
+  if (HaveSse41()) return DecodeUint32sSse41(data, n, dst, span);
+#endif
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t s = 0;
+    uint32_t e = 0;
+    span(i, &s, &e);
+    if (!TryParseUint32(data.data() + s, data.data() + e, &dst[i])) return i;
+  }
+  return n;
+}
+
 // Converts `bn` selected rows starting at selection index `b0` of column
 // `c` in one typed loop, templated on a span provider `span(i, &r, &s, &e)`
 // so the compact fast path (hoisted row stride, loop-invariant end
@@ -187,13 +272,14 @@ Status ParseBlockTyped(const TextChunk& chunk, size_t c, FieldType type,
   switch (type) {
     case FieldType::kUint32: {
       uint32_t* dst = out->AppendUint32Block(bn);
-      for (size_t i = 0; i < bn; ++i) {
-        span(i, &r, &s, &e);
-        if (!TryParseUint32(base + s, base + e, &dst[i])) {
-          return FieldError(chunk, r, c, data.substr(s, e - s), type);
-        }
-      }
-      return Status::OK();
+      const size_t bad = DecodeUint32s(
+          data, bn, dst, [span](size_t i, uint32_t* fs, uint32_t* fe) {
+            size_t row = 0;
+            span(i, &row, fs, fe);
+          });
+      if (bad == bn) return Status::OK();
+      span(bad, &r, &s, &e);
+      return FieldError(chunk, r, c, data.substr(s, e - s), type);
     }
     case FieldType::kInt64: {
       int64_t* dst = out->AppendInt64Block(bn);
@@ -336,7 +422,11 @@ Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
       switch (pt) {
         case FieldType::kUint32: {
           uint32_t v = 0;
-          parsed = TryParseUint32(base + s, base + e, &v);
+          parsed = DecodeUint32s(data, 1, &v,
+                                 [s, e](size_t, uint32_t* fs, uint32_t* fe) {
+                                   *fs = s;
+                                   *fe = e;
+                                 }) == 1;
           value = static_cast<int64_t>(v);
           break;
         }

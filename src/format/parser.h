@@ -58,7 +58,11 @@ Result<double> ParseDouble(std::string_view text);
 // last) and return false on any malformed input without building an error
 // string (the caller classifies the failure only after it happens, via the
 // Result-returning functions above). Built on std::from_chars — no stack
-// copy, no field-length limit, locale-independent.
+// copy, no field-length limit, locale-independent. TryParseUint32 defines
+// the u32 accept set. ParseChunk decodes a u32 field of 1-16 bytes that
+// ends at least 16 bytes into the chunk with a branch-free 16-byte SSE4.1
+// kernel that accepts exactly the same fields, and passes every other
+// field (and every field on a CPU or build without SIMD) to TryParseUint32.
 bool TryParseUint32(const char* first, const char* last, uint32_t* out);
 bool TryParseInt64(const char* first, const char* last, int64_t* out);
 bool TryParseDouble(const char* first, const char* last, double* out);

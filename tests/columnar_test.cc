@@ -79,6 +79,27 @@ TEST(BinaryChunkTest, RowCountMismatchRejected) {
   EXPECT_TRUE(chunk.AddColumn(1, std::move(c1)).IsInvalidArgument());
 }
 
+TEST(BinaryChunkTest, EmptyColumnThenLongerRejected) {
+  BinaryChunk chunk(0);
+  ASSERT_TRUE(chunk.AddColumn(0, ColumnVector(FieldType::kUint32)).ok());
+  ColumnVector longer(FieldType::kUint32);
+  longer.AppendUint32(1);
+  EXPECT_TRUE(chunk.AddColumn(1, std::move(longer)).IsInvalidArgument());
+  EXPECT_EQ(chunk.num_rows(), 0u);
+  EXPECT_FALSE(chunk.HasColumn(1));
+}
+
+TEST(BinaryChunkTest, LongerColumnThenEmptyRejected) {
+  BinaryChunk chunk(0);
+  ColumnVector longer(FieldType::kUint32);
+  longer.AppendUint32(1);
+  ASSERT_TRUE(chunk.AddColumn(0, std::move(longer)).ok());
+  EXPECT_TRUE(chunk.AddColumn(1, ColumnVector(FieldType::kUint32))
+                  .IsInvalidArgument());
+  EXPECT_EQ(chunk.num_rows(), 1u);
+  EXPECT_FALSE(chunk.HasColumn(1));
+}
+
 TEST(BinaryChunkTest, MergeColumns) {
   BinaryChunk a(3), b(3);
   ColumnVector c0(FieldType::kUint32);
@@ -333,6 +354,14 @@ TEST(ChunkSortTest, StringKeyAndStability) {
 TEST(ChunkSortTest, MissingColumnRejected) {
   BinaryChunk chunk(0);
   EXPECT_TRUE(SortChunkByColumn(chunk, 5).status().IsInvalidArgument());
+}
+
+TEST(ChunkSortTest, KeyShorterThanChunkRejected) {
+  BinaryChunk chunk(0);
+  ASSERT_TRUE(chunk.AddColumn(0, ColumnVector(FieldType::kUint32)).ok());
+  chunk.set_num_rows(3);  // the key column holds 0 of the 3 rows
+  EXPECT_TRUE(SortPermutation(chunk, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(SortChunkByColumn(chunk, 0).status().IsInvalidArgument());
 }
 
 }  // namespace

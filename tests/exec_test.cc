@@ -289,11 +289,13 @@ TEST(QueryExecutorTest, MinMaxOfStringColumnRejected) {
 }
 
 TEST(QueryExecutorTest, ColumnShorterThanChunkRejected) {
+  // AddColumn refuses mismatched lengths, so set_num_rows forges the chunk.
   BinaryChunk chunk(0);
   ASSERT_TRUE(chunk.AddColumn(0, ColumnVector(FieldType::kUint32)).ok());
+  chunk.set_num_rows(1);
   ColumnVector longer(FieldType::kUint32);
   longer.AppendUint32(1);
-  ASSERT_TRUE(chunk.AddColumn(1, std::move(longer)).ok());  // sets 1 row
+  ASSERT_TRUE(chunk.AddColumn(1, std::move(longer)).ok());
   QuerySpec spec;
   spec.sum_columns = {0, 1};
   QueryExecutor exec(spec);

@@ -359,6 +359,134 @@ TEST(HotpathEquivalenceTest, SingleParseErrorMatchesReference) {
   }
 }
 
+// ---- adversarial u32 fields ------------------------------------------------
+//
+// ParseChunk decodes a u32 field of 1-16 bytes that ends at least 16 bytes
+// into the chunk with a 16-byte SIMD kernel, and every other field with
+// from_chars. Each case puts one field at a chosen span of a one-row chunk
+// and compares ParseChunk with the frozen reference: without push-down (the
+// compact-map loop), and with push-down on the field's column (the
+// predicate pass, then the selected-rows loop). Bytes before the field are
+// digits, so a keep mask one lane too wide changes the value.
+
+// Compares one chunk whose only field spans [s, e) of `bytes`. The chunk
+// buffer is allocated to exactly `bytes.size()`, so ASan flags any read
+// past it.
+void ExpectU32SpanMatchesReference(const std::string& bytes, uint32_t s,
+                                   uint32_t e, bool with_pushdown) {
+  TextChunk chunk;
+  chunk.chunk_index = 3;
+  chunk.data = std::string(bytes.data(), bytes.size());
+  chunk.line_starts = {0};
+  PositionalMap map(1, 1);
+  map.Set(0, 0, s);
+  map.Set(0, 1, e);
+  const Schema schema = Schema::AllUint32(1);
+  const std::string context = "field " +
+                              testing::PrintToString(bytes.substr(s, e - s)) +
+                              " at [" + std::to_string(s) + ", " +
+                              std::to_string(e) + ") of " +
+                              testing::PrintToString(bytes);
+
+  auto want = reference::RefParseChunk(chunk, map, schema, {});
+  auto got = ParseChunk(chunk, map, schema, {});
+  ASSERT_EQ(got.ok(), want.ok())
+      << context << ": got " << got.status().ToString() << ", want "
+      << want.status().ToString();
+  if (want.ok()) {
+    ExpectChunksEqual(*got, *want, context);
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code()) << context;
+    EXPECT_EQ(got.status().message(), want.status().message()) << context;
+  }
+  if (!with_pushdown) return;
+
+  // A band of exactly the reference value keeps the row only if the
+  // predicate pass decoded the same value.
+  ParseOptions popts;
+  popts.pushdown = PushdownFilter{0, INT64_MIN, INT64_MAX};
+  if (want.ok()) {
+    const int64_t v = want->column(0).AsUint32()[0];
+    popts.pushdown->min_value = v;
+    popts.pushdown->max_value = v;
+  }
+  auto want_pd = reference::RefParseChunk(chunk, map, schema, popts);
+  auto got_pd = ParseChunk(chunk, map, schema, popts);
+  ASSERT_EQ(got_pd.ok(), want_pd.ok())
+      << context << " (push-down): got " << got_pd.status().ToString()
+      << ", want " << want_pd.status().ToString();
+  if (want_pd.ok()) {
+    ASSERT_EQ(want_pd->num_rows(), 1u) << context;
+    ExpectChunksEqual(*got_pd, *want_pd, context + " (push-down)");
+  } else {
+    EXPECT_EQ(got_pd.status().code(), want_pd.status().code()) << context;
+    EXPECT_EQ(got_pd.status().message(), want_pd.status().message())
+        << context << " (push-down)";
+  }
+}
+
+// `text` as the one field, `offset` bytes into the chunk after digits, and
+// followed by `tail`.
+void ExpectU32FieldMatchesReference(size_t offset, const std::string& text,
+                                    const std::string& tail) {
+  const std::string bytes = std::string(offset, '9') + text + tail;
+  ExpectU32SpanMatchesReference(bytes, static_cast<uint32_t>(offset),
+                                static_cast<uint32_t>(offset + text.size()),
+                                /*with_pushdown=*/true);
+}
+
+TEST(HotpathEquivalenceTest, AdversarialU32FieldsMatchReference) {
+  // Every length 0-20: digit runs that fit or overflow, all zeros, leading
+  // zeros before one digit, and the u32 edges behind 0-7 leading zeros
+  // (10-17 characters).
+  std::vector<std::string> texts;
+  for (size_t len = 0; len <= 20; ++len) {
+    texts.push_back(std::string("12345678901234567890").substr(0, len));
+    texts.push_back(std::string("98765432109876543210").substr(0, len));
+    texts.push_back(std::string(len, '0'));
+    if (len > 0) texts.push_back(std::string(len - 1, '0') + "7");
+  }
+  for (const char* edge : {"4294967295", "4294967296", "9999999999"}) {
+    for (size_t zeros = 0; zeros <= 7; ++zeros) {
+      texts.push_back(std::string(zeros, '0') + edge);
+    }
+  }
+  // At every offset 0-20 from the chunk start: mid-row, and as the last
+  // bytes of the chunk with and without a newline.
+  for (size_t offset = 0; offset <= 20; ++offset) {
+    for (const std::string& text : texts) {
+      for (const char* tail : {",4321\n", "\n", ""}) {
+        ExpectU32FieldMatchesReference(offset, text, tail);
+        if (testing::Test::HasFailure()) return;
+      }
+    }
+  }
+
+  // Each non-digit byte at each position, in fields the kernel decodes.
+  // '/' and ':' sit next to '0' and '9'.
+  for (size_t len : {1, 2, 9, 10, 11, 16}) {
+    const std::string digits = std::string("4294967295123456").substr(0, len);
+    for (size_t pos = 0; pos < len; ++pos) {
+      for (int byte = 0; byte < 256; ++byte) {
+        if (byte >= '0' && byte <= '9') continue;
+        std::string text = digits;
+        text[pos] = static_cast<char>(byte);
+        ExpectU32FieldMatchesReference(16, text, "\n");
+        if (testing::Test::HasFailure()) return;
+      }
+    }
+  }
+
+  // A span that runs past the chunk buffer, as only a corrupt positional
+  // map can hold: the kernel's 16-byte load must not be used for it (ASan
+  // flags the load for the first two ends).
+  const std::string bytes = "99999999999912345678";
+  for (uint32_t e : {28u, 24u, 21u}) {
+    ExpectU32SpanMatchesReference(bytes, 12, e, /*with_pushdown=*/false);
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
 TEST(HotpathEquivalenceTest, QuotedParallelMatchesSequential) {
   // The scalar reference predates quoting, so the quoted dialect's two live
   // tiers (sequential FSM, speculative parallel) are compared against each

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -631,6 +632,40 @@ TEST_F(PosmapRecoveryTest, DialectMismatchedSidecarDropped) {
   EXPECT_EQ(last_posmaps_dropped_, 1u);
   EXPECT_GT(explain.bytes_tokenized, 0u);
   EXPECT_EQ(explain.posmap_disk_hits, 0u);
+}
+
+// Checksums prove a sidecar is the one that was written, not that its maps
+// fit the file: a map whose span points past its chunk (here re-encoded
+// with valid checksums) is skipped at load, so PARSE never reads it. Only
+// that chunk re-tokenizes; the other seven still ride the sidecar.
+TEST_F(PosmapRecoveryTest, OutOfRangeSpanEntrySkipped) {
+  ColdScanAndSave();
+  auto bytes = ReadFileToString(SidecarPath());
+  ASSERT_TRUE(bytes.ok());
+  PosmapSidecarHeader header;
+  auto entries = DecodePosmapSidecar(*bytes, &header);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), 8u);
+  bool corrupted = false;
+  for (PosmapSidecarEntry& entry : *entries) {
+    if (entry.chunk_index != 0) continue;
+    auto map = std::make_shared<PositionalMap>(*entry.map);
+    map->Set(5, 0, 4000000000u);  // row 5's first field start
+    entry.map = std::move(map);
+    corrupted = true;
+  }
+  ASSERT_TRUE(corrupted);
+  ASSERT_TRUE(
+      WriteStringToFile(SidecarPath(), EncodePosmapSidecar(header, *entries))
+          .ok());
+
+  obs::ExplainReport warm;
+  RestartAndQuery(PosmapOptions(), &warm);
+  EXPECT_EQ(last_posmaps_dropped_, 0u);  // the other entries are kept
+  EXPECT_EQ(warm.posmap_disk_hits, 7u);
+  EXPECT_EQ(warm.posmap_misses, 1u);
+  EXPECT_GT(warm.bytes_tokenized, 0u);
+  EXPECT_LT(warm.bytes_tokenized, info_.file_bytes / 4);
 }
 
 // A sidecar whose recorded raw-file stat no longer matches (the CSV was
