@@ -107,7 +107,6 @@ enum class LockRank : int {
   kMetrics = 120,          // obs::MetricsRegistry map
   kTimeSeriesRing = 140,   // obs::TimeSeriesRing buffer
   kTimeSeries = 160,       // obs::TimeSeries registry (holds ring locks)
-  kChunkTracer = 180,      // obs::ChunkTracer event buffer
   kSpanProfiler = 200,     // obs::SpanProfiler span table
   kResourceLog = 210,      // obs::ResourceLog sample ring
   kResourceSampler = 220,  // obs::ResourceSampler thread state

@@ -144,13 +144,27 @@ Result<int64_t> ParseNumeric(std::string_view text, FieldType type) {
   return Status::InvalidArgument("push-down filter on non-numeric column");
 }
 
-// Builds the full error for a field the Try* fast path rejected: the
-// classified scalar message (reproduced via the Result-returning parser)
+// Only a corrupt positional map holds a span [s, e) that is not inside its
+// chunk. The fast paths reject such a span, but its text clamped to the
+// chunk may well parse, so it is reported before any re-parse.
+bool SpanInChunk(std::string_view data, uint32_t s, uint32_t e) {
+  return s <= e && e <= data.size();
+}
+
+// Builds the full error for the field at [s, e) that the Try* fast path
+// rejected: the classified scalar message (reproduced via the
+// Result-returning parser), or Corruption for a span outside the chunk,
 // wrapped with chunk/row/col context. Only runs after a parse has already
 // failed, so the hot loops stay allocation-free.
-Status FieldError(const TextChunk& chunk, size_t r, size_t c,
-                  std::string_view field, FieldType type) {
+Status FieldError(const TextChunk& chunk, size_t r, size_t c, uint32_t fs,
+                  uint32_t fe, FieldType type) {
+  const std::string_view data(chunk.data);
   Status s = [&]() -> Status {
+    if (!SpanInChunk(data, fs, fe)) {
+      return Status::Corruption(StringPrintf(
+          "field [%u, %u) outside the %zu-byte chunk", fs, fe, data.size()));
+    }
+    const std::string_view field = data.substr(fs, fe - fs);
     switch (type) {
       case FieldType::kUint32:
         return ParseUint32(field).status();
@@ -279,14 +293,14 @@ Status ParseBlockTyped(const TextChunk& chunk, size_t c, FieldType type,
           });
       if (bad == bn) return Status::OK();
       span(bad, &r, &s, &e);
-      return FieldError(chunk, r, c, data.substr(s, e - s), type);
+      return FieldError(chunk, r, c, s, e, type);
     }
     case FieldType::kInt64: {
       int64_t* dst = out->AppendInt64Block(bn);
       for (size_t i = 0; i < bn; ++i) {
         span(i, &r, &s, &e);
         if (!TryParseInt64(base + s, base + e, &dst[i])) {
-          return FieldError(chunk, r, c, data.substr(s, e - s), type);
+          return FieldError(chunk, r, c, s, e, type);
         }
       }
       return Status::OK();
@@ -296,7 +310,7 @@ Status ParseBlockTyped(const TextChunk& chunk, size_t c, FieldType type,
       for (size_t i = 0; i < bn; ++i) {
         span(i, &r, &s, &e);
         if (!TryParseDouble(base + s, base + e, &dst[i])) {
-          return FieldError(chunk, r, c, data.substr(s, e - s), type);
+          return FieldError(chunk, r, c, s, e, type);
         }
       }
       return Status::OK();
@@ -442,7 +456,11 @@ Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
         case FieldType::kString:
           break;  // rejected by validation above
       }
-      if (!parsed) return ParseNumeric(data.substr(s, e - s), pt).status();
+      if (!parsed) {
+        return SpanInChunk(data, s, e)
+                   ? ParseNumeric(data.substr(s, e - s), pt).status()
+                   : FieldError(chunk, r, pd.column, s, e, pt);
+      }
       if (value >= pd.min_value && value <= pd.max_value) {
         selected.push_back(static_cast<uint32_t>(r));
       }

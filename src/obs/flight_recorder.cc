@@ -3,12 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
-#include "obs/trace.h"
+#include "obs/metrics.h"
 
 namespace scanraw {
 namespace obs {
@@ -35,22 +37,34 @@ void WriteAll(int fd, const char* data, size_t length) {
 
 void WriteLine(int fd, const char* line) { WriteAll(fd, line, strlen(line)); }
 
+// Thread ids occupy 24 bits of a slot's packed word.
+constexpr uint64_t kTidMask = 0xffffff;
+
 }  // namespace
+
+uint32_t CurrentThreadId() {
+  static std::atomic<uint32_t> next_id{1};
+  thread_local uint32_t id = next_id.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
 
 const char* FlightEventName(FlightEvent event) {
   switch (event) {
     case FlightEvent::kNone: return "none";
     case FlightEvent::kQueryBegin: return "query-begin";
     case FlightEvent::kQueryEnd: return "query-end";
-    case FlightEvent::kRead: return "read";
-    case FlightEvent::kTokenize: return "tokenize";
-    case FlightEvent::kParse: return "parse";
-    case FlightEvent::kDeliver: return "deliver";
-    case FlightEvent::kWrite: return "write";
-    case FlightEvent::kSpeculativeTrigger: return "spec-trigger";
-    case FlightEvent::kCacheEvict: return "cache-evict";
+    case FlightEvent::kSafeguardFlush: return "safeguard-flush";
     case FlightEvent::kKillPoint: return "kill-point";
     case FlightEvent::kError: return "error";
+    case FlightEvent::kRead: return "read";
+    case FlightEvent::kReadDb: return "read-db";
+    case FlightEvent::kTokenize: return "tokenize";
+    case FlightEvent::kParse: return "parse";
+    case FlightEvent::kWrite: return "write";
+    case FlightEvent::kDeliver: return "deliver";
+    case FlightEvent::kSpeculativeTrigger: return "spec-trigger";
+    case FlightEvent::kReadBlocked: return "read-blocked";
+    case FlightEvent::kCacheEvict: return "cache-evict";
   }
   return "unknown";
 }
@@ -101,6 +115,11 @@ void FlightRecorder::ReleaseRing(Ring* ring) {
 }
 
 void FlightRecorder::Record(FlightEvent event, uint64_t a, uint64_t b) {
+  RecordSpan(event, static_cast<int64_t>(NowNanos()), 0, a, b);
+}
+
+void FlightRecorder::RecordSpan(FlightEvent event, int64_t start_nanos,
+                                int64_t dur_nanos, uint64_t a, uint64_t b) {
   FlightRecorderTlsHandle& handle = tls_handle;
   if (handle.ring == nullptr || handle.owner != this) {
     handle.ring = ClaimRing();
@@ -117,8 +136,12 @@ void FlightRecorder::Record(FlightEvent event, uint64_t a, uint64_t b) {
   Slot& slot = ring.slots[index];
   // Relaxed stores: a dump racing these may see one torn event, which a
   // crash artifact tolerates; atomics keep the race defined (TSan-clean).
-  slot.ts_nanos.store(NowNanos(), std::memory_order_relaxed);
-  slot.packed.store((static_cast<uint64_t>(CurrentThreadId()) << 8) |
+  const uint64_t dur_us = std::min<uint64_t>(
+      static_cast<uint64_t>(std::max<int64_t>(0, dur_nanos)) / 1000,
+      UINT32_MAX);
+  slot.ts_nanos.store(static_cast<uint64_t>(start_nanos),
+                      std::memory_order_relaxed);
+  slot.packed.store((dur_us << 32) | ((CurrentThreadId() & kTidMask) << 8) |
                         static_cast<uint64_t>(event),
                     std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
@@ -156,7 +179,7 @@ void FlightRecorder::DumpTo(int fd) const {
       std::snprintf(
           line, sizeof(line),
           "  tid=%llu -%8llu.%03llums %-12s a=%llu b=%llu\n",
-          static_cast<unsigned long long>(packed >> 8),
+          static_cast<unsigned long long>((packed >> 8) & kTidMask),
           static_cast<unsigned long long>(age_us / 1000),
           static_cast<unsigned long long>(age_us % 1000),
           FlightEventName(event),
@@ -176,6 +199,65 @@ bool FlightRecorder::DumpToFile(const char* path) const {
   DumpTo(fd);
   ::close(fd);
   return true;
+}
+
+std::string FlightRecorder::ToChromeTraceJson(
+    std::string_view process_name) const {
+  struct Event {
+    uint64_t ts;
+    uint64_t packed;
+    uint64_t a;
+    uint64_t b;
+  };
+  std::vector<Event> events;
+  uint64_t epoch = UINT64_MAX;
+  for (const Ring& ring : rings_) {
+    if (ring.ever_claimed.load(std::memory_order_relaxed) == 0) continue;
+    const uint64_t total = ring.next.load(std::memory_order_acquire);
+    const uint64_t count = std::min<uint64_t>(total, kRingEvents);
+    for (uint64_t i = total - count; i < total; ++i) {
+      const Slot& slot = ring.slots[i % kRingEvents];
+      const Event e{slot.ts_nanos.load(std::memory_order_relaxed),
+                    slot.packed.load(std::memory_order_relaxed),
+                    slot.a.load(std::memory_order_relaxed),
+                    slot.b.load(std::memory_order_relaxed)};
+      // An unwritten (or torn, half-written) slot has no event or no time.
+      if ((e.packed & 0xff) == 0 || e.ts == 0) continue;
+      events.push_back(e);
+      epoch = std::min(epoch, e.ts);
+    }
+  }
+  std::string out = "[";
+  if (!process_name.empty()) {
+    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":"
+           "{\"name\":\"" +
+           JsonEscape(process_name) + "\"}}";
+  }
+  for (const Event& e : events) {
+    if (out.size() > 1) out += ",\n";
+    const FlightEvent event = static_cast<FlightEvent>(e.packed & 0xff);
+    const bool span =
+        event >= FlightEvent::kRead && event <= FlightEvent::kWrite;
+    out += "{\"name\":\"";
+    out += FlightEventName(event);
+    out += "\",\"cat\":\"scanraw\",\"ph\":\"";
+    out += span ? "X" : "i";
+    out += "\",\"ts\":" + std::to_string((e.ts - epoch) / 1000);
+    out += span ? ",\"dur\":" + std::to_string(e.packed >> 32)
+                : std::string(",\"s\":\"p\"");
+    out += ",\"pid\":1,\"tid\":" + std::to_string((e.packed >> 8) & kTidMask);
+    if (event >= FlightEvent::kRead) {
+      out += ",\"args\":{\"chunk\":" + std::to_string(e.a) +
+             ",\"source\":\"";
+      out += event == FlightEvent::kReadDb ? "db" : "raw";
+      out += "\"}}";
+    } else {
+      out += ",\"args\":{\"a\":" + std::to_string(e.a) +
+             ",\"b\":" + std::to_string(e.b) + "}}";
+    }
+  }
+  out += "]\n";
+  return out;
 }
 
 void FlightRecorder::SetCrashDumpPath(const char* path) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 
 namespace scanraw {
 namespace obs {

@@ -1,6 +1,6 @@
 // SpanProfiler: query-scoped span recording and critical-path attribution.
 // Where the metrics registry aggregates process-global counters and the
-// ChunkTracer keeps a bounded event ring, the SpanProfiler answers the
+// flight recorder keeps bounded event rings, the SpanProfiler answers the
 // per-query question behind the paper's Fig. 9 utilization story: how much
 // time each pipeline stage (READ, TOKENIZE, PARSE, WRITE, cache-hit
 // delivery, heap scan, engine) was busy, on how many threads, and which

@@ -1,31 +1,11 @@
 #include "obs/telemetry.h"
 
-#include <map>
-
 namespace scanraw {
 namespace obs {
 
 std::string Telemetry::ToJson() const {
-  std::string out = "{\"metrics\":" + metrics_.ToJson();
-  out += ",\"resource_samples\":" + resources_.ToJson();
-  out += ",\"trace_events_recorded\":" + std::to_string(tracer_.recorded());
-  out += ",\"trace_events_dropped\":" + std::to_string(tracer_.dropped());
-  out += "}\n";
-  return out;
-}
-
-std::string Telemetry::ToText() const {
-  std::string out = metrics_.ToText();
-  std::map<std::string, size_t> advice_tally;
-  for (const ResourceSample& s : resources_.Snapshot()) {
-    ++advice_tally[s.advice];
-  }
-  for (const auto& [advice, n] : advice_tally) {
-    out += "resource.advice_samples." + advice + " " + std::to_string(n) +
-           "\n";
-  }
-  out += "trace.events_recorded " + std::to_string(tracer_.recorded()) + "\n";
-  return out;
+  return "{\"metrics\":" + metrics_.ToJson() +
+         ",\"resource_samples\":" + resources_.ToJson() + "}\n";
 }
 
 }  // namespace obs

@@ -1,8 +1,10 @@
 // Telemetry: the unified observability sink — one metrics registry, one
-// chunk-lifecycle tracer, and one resource-advice time-series log. The
-// ScanRawManager owns a Telemetry instance and wires every component of the
-// pipeline (ScanRaw stages, DiskArbiter, ChunkCache, ThreadPool,
-// StorageManager) into it; the CLI and benches export it as JSON or text.
+// resource-advice time-series log, the metric time-series rings and the
+// stage heartbeat board. The ScanRawManager owns a Telemetry instance and
+// wires every component of the pipeline (ScanRaw stages, DiskArbiter,
+// ChunkCache, ThreadPool, StorageManager) into it; the CLI and benches
+// export it as JSON or text. Chunk-stage spans live in the process-wide
+// flight recorder (obs/flight_recorder.h).
 #ifndef SCANRAW_OBS_TELEMETRY_H_
 #define SCANRAW_OBS_TELEMETRY_H_
 
@@ -12,47 +14,27 @@
 #include "obs/metrics.h"
 #include "obs/resource_sampler.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 
 namespace scanraw {
 namespace obs {
 
-struct TelemetryOptions {
-  // Ring capacity of the chunk-lifecycle tracer, in events (one event per
-  // chunk-stage). 0 disables tracing; metrics stay on.
-  size_t trace_capacity = 1 << 14;
-  // Bound on the resource time-series.
-  size_t resource_log_capacity = 4096;
-  // Points retained per metric time-series ring (see obs/timeseries.h).
-  size_t timeseries_ring_capacity = 512;
-};
-
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryOptions options = TelemetryOptions())
-      : tracer_(options.trace_capacity),
-        resources_(options.resource_log_capacity),
-        timeseries_(TimeSeriesOptions{options.timeseries_ring_capacity,
-                                      TimeSeriesOptions().interval_nanos}) {}
-
   MetricsRegistry& metrics() { return metrics_; }
-  ChunkTracer& tracer() { return tracer_; }
   ResourceLog& resources() { return resources_; }
   TimeSeries& timeseries() { return timeseries_; }
   StageHeartbeats& heartbeats() { return heartbeats_; }
 
-  // Combined export: {"metrics": <registry>, "resource_samples": [...],
-  // "trace_events_recorded": N, "trace_events_dropped": N}.
+  // Combined export: {"metrics": <registry>, "resource_samples": [...]}.
   std::string ToJson() const;
 
-  // Human-readable flat dump (metrics text + advice tallies).
-  std::string ToText() const;
+  // Human-readable flat dump of the registry.
+  std::string ToText() const { return metrics_.ToText(); }
 
  private:
   MetricsRegistry metrics_;
-  ChunkTracer tracer_;
-  ResourceLog resources_;
-  TimeSeries timeseries_;
+  ResourceLog resources_;  // the last 4096 samples
+  TimeSeries timeseries_;  // 512 points per series
   StageHeartbeats heartbeats_;
 };
 

@@ -2,11 +2,11 @@
 // value) rings snapshotting selected counters / gauges / histogram
 // quantiles at a configurable cadence, so /metrics and the CLI can report
 // *rates* (rows/s, bytes/s, cache hit rate over the last N seconds)
-// instead of lifetime totals. Sampling piggybacks on whatever periodic
-// thread already exists (the ResourceSampler probe, the watchdog tick, a
-// stats-server scrape): MaybeSample is cheap, idempotent within an
-// interval, and safe to call from several threads — exactly one caller
-// wins each slot.
+// instead of lifetime totals. No thread of its own samples: the
+// ResourceSampler probe and each stats-server scrape call MaybeSample, and
+// the CLI's metrics printer calls SampleNow. MaybeSample is cheap,
+// idempotent within an interval, and safe to call from several threads —
+// exactly one caller wins each slot.
 #ifndef SCANRAW_OBS_TIMESERIES_H_
 #define SCANRAW_OBS_TIMESERIES_H_
 

@@ -146,8 +146,8 @@ struct ScanRawOptions {
   // distinct elements ... or even samples").
   bool collect_sketches = false;
 
-  // Telemetry sink: registry-backed stage metrics, chunk-lifecycle tracing,
-  // and resource-advice sampling all record here. The ScanRawManager fills
+  // Telemetry sink: registry-backed stage metrics, heartbeats and
+  // resource-advice sampling all record here. The ScanRawManager fills
   // this in with its own sink when left null; set explicitly to share a
   // sink across managers or to a standalone obs::Telemetry in tests.
   obs::Telemetry* telemetry = nullptr;
@@ -159,10 +159,10 @@ struct ScanRawOptions {
   int resource_sample_interval_ms = 0;
 
   // Cadence of the telemetry time-series rings feeding the /metrics rate
-  // gauges (rows/s, bytes/s, cache hit rate). Sampling piggybacks on
-  // existing periodic threads (resource sampler, watchdog, stats scrapes) —
-  // there is no dedicated sampler thread. 0 leaves the telemetry sink's
-  // default (1 s); negative disables sampling. Requires `telemetry`.
+  // gauges (rows/s, bytes/s, cache hit rate). There is no dedicated sampler
+  // thread: the resource-sampler probe, each /metrics scrape and the CLI's
+  // --metrics-interval-ms printer take a sample. 0 leaves the telemetry
+  // sink's default (1 s); negative disables sampling. Requires `telemetry`.
   int timeseries_interval_ms = 0;
 
   // Live progress: when set, each query runs a reporter thread that invokes

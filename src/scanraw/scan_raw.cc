@@ -75,23 +75,18 @@ namespace {
 struct StageSinks {
   Stopwatch PipelineProfile::*time;
   const char* latency_metric;
-  obs::TraceStage trace;
   obs::FlightEvent flight;
   obs::HeartbeatStage heartbeat;
 };
 constexpr StageSinks kStageSinks[] = {
     {&PipelineProfile::read_time, "scanraw.stage.read_nanos",
-     obs::TraceStage::kRead, obs::FlightEvent::kRead,
-     obs::HeartbeatStage::kRead},
+     obs::FlightEvent::kRead, obs::HeartbeatStage::kRead},
     {&PipelineProfile::tokenize_time, "scanraw.stage.tokenize_nanos",
-     obs::TraceStage::kTokenize, obs::FlightEvent::kTokenize,
-     obs::HeartbeatStage::kTokenize},
+     obs::FlightEvent::kTokenize, obs::HeartbeatStage::kTokenize},
     {&PipelineProfile::parse_time, "scanraw.stage.parse_nanos",
-     obs::TraceStage::kParse, obs::FlightEvent::kParse,
-     obs::HeartbeatStage::kParse},
+     obs::FlightEvent::kParse, obs::HeartbeatStage::kParse},
     {&PipelineProfile::write_time, "scanraw.stage.write_nanos",
-     obs::TraceStage::kWrite, obs::FlightEvent::kWrite,
-     obs::HeartbeatStage::kWrite},
+     obs::FlightEvent::kWrite, obs::HeartbeatStage::kWrite},
 };
 
 // Byte bound of the positional-map cache, enforced alongside its chunk
@@ -153,7 +148,7 @@ struct ScanRaw::QueryRun::Impl {
 
   // A chunk crossing one stage boundary, as the stage record logs it.
   struct Crossing {
-    obs::ChunkSource source = obs::ChunkSource::kRaw;
+    bool from_db = false;  // a READ of a database chunk
     uint64_t chunk_index = 0;
     uint64_t bytes = 0;  // raw bytes read or delivered, or bytes stored
     uint64_t rows = 0;   // rows tokenized or parsed
@@ -166,9 +161,9 @@ struct ScanRaw::QueryRun::Impl {
   // hit, TOKENIZE, PARSE or WRITE. It reads the clock when constructed at
   // the start of the stage, and once more in Record(), which feeds every
   // sink of the boundary from that one interval: the query's SpanProfiler,
-  // the stage's Stopwatch and latency histogram, the chunk tracer, the
-  // flight recorder, the heartbeat board and the progress tracker. A cache
-  // hit feeds only the span, the READ heartbeat and progress. A stage that
+  // the stage's Stopwatch and latency histogram, one flight-recorder span,
+  // the heartbeat board and the progress tracker. A cache hit feeds only
+  // the span, the READ heartbeat and progress. A stage that
   // produced no chunk (an error, the discovery scan's EOF probe) never
   // calls Record() and leaves no trace but its heartbeat.
   class StageRecord {
@@ -197,14 +192,11 @@ struct ScanRaw::QueryRun::Impl {
         obs::Histogram* latency =
             profile.stage_latency[static_cast<size_t>(stage_)];
         if (latency != nullptr) latency->Record(static_cast<uint64_t>(dur));
-        if (obs::ChunkTracer* tracer = op_->tracer()) {
-          tracer->RecordSpan(Sinks().trace, c.source, c.chunk_index,
-                             start_nanos_, dur);
-        }
         const bool counts_rows = stage_ == obs::QueryStage::kTokenize ||
                                  stage_ == obs::QueryStage::kParse;
-        obs::FlightRecord(Sinks().flight, c.chunk_index,
-                          counts_rows ? c.rows : c.bytes);
+        obs::FlightRecorder::Global()->RecordSpan(
+            c.from_db ? obs::FlightEvent::kReadDb : Sinks().flight,
+            start_nanos_, dur, c.chunk_index, counts_rows ? c.rows : c.bytes);
       }
       if (!HoldsHeartbeat() && op_->heartbeats_ != nullptr) {
         op_->heartbeats_->Beat(obs::HeartbeatStage::kRead);
@@ -219,7 +211,7 @@ struct ScanRaw::QueryRun::Impl {
       if (stage_ == obs::QueryStage::kWrite) {
         run->progress.CountLoaded();
       } else if (cache_hit || stage_ == obs::QueryStage::kParse ||
-                 c.source == obs::ChunkSource::kDb) {
+                 c.from_db) {
         run->progress.AddBytes(c.bytes);
         run->progress.CountChunk();
       }
@@ -644,9 +636,7 @@ struct ScanRaw::QueryRun::Impl {
     if (finished) read_heartbeat.reset();
     if (blocked) {
       Add(&ChunkCounts::read_blocked_events);
-      if (obs::ChunkTracer* tracer = parent->tracer()) {
-        tracer->RecordInstant(obs::TraceStage::kReadBlocked, raw_index);
-      }
+      obs::FlightRecord(obs::FlightEvent::kReadBlocked, raw_index);
       parent->MaybeTriggerSpeculativeWrite(&counts);
     }
   }
@@ -705,7 +695,7 @@ struct ScanRaw::QueryRun::Impl {
       auto chunk = parent->storage_->ReadChunkColumns(cm, required_columns);
       if (!chunk.ok()) return ReadFailed(chunk.status());
       ptr = std::make_shared<const BinaryChunk>(std::move(*chunk));
-      stage.Record(this, {.source = obs::ChunkSource::kDb,
+      stage.Record(this, {.from_db = true,
                           .chunk_index = cm.chunk_index,
                           .bytes = cm.raw_size});
     }
@@ -1077,7 +1067,6 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
         registry.GetCounter("scanraw.posmap.misses"),
         registry.GetCounter("scanraw.posmap.disk_hits"),
         registry.GetCounter("scanraw.posmap.dialect_drops"));
-    options_.telemetry->tracer().SetLabel("scanraw:" + table_);
     buffer_pool_->BindMetrics(registry.GetCounter("scanraw.pool.buffer_hits"),
                               registry.GetCounter("scanraw.pool.buffer_misses"),
                               registry.GetGauge("scanraw.pool.idle_buffers"));
@@ -1520,18 +1509,14 @@ void ScanRaw::MaybeTriggerSpeculativeWrite(ChunkCounts* run) {
   const uint64_t victim_index = victim->first;
   if (EnqueueWrite(victim_index, std::move(victim->second))) {
     profile_.Add(&ChunkCounts::speculative_triggers, 1, run);
-    obs::FlightRecord(obs::FlightEvent::kSpeculativeTrigger, victim_index, 0);
-    if (obs::ChunkTracer* t = tracer()) {
-      t->RecordInstant(obs::TraceStage::kSpeculativeTrigger, victim_index);
-    }
+    obs::FlightRecord(obs::FlightEvent::kSpeculativeTrigger, victim_index);
   }
 }
 
 void ScanRaw::SafeguardFlush() {
-  if (obs::ChunkTracer* t = tracer()) {
-    t->RecordInstant(obs::TraceStage::kSafeguardFlush, /*chunk_index=*/0);
-  }
-  for (auto& [index, chunk] : cache_.UnloadedChunks()) {
+  auto unloaded = cache_.UnloadedChunks();
+  obs::FlightRecord(obs::FlightEvent::kSafeguardFlush, unloaded.size());
+  for (auto& [index, chunk] : unloaded) {
     EnqueueWrite(index, std::move(chunk));
   }
 }

@@ -311,12 +311,8 @@ class ScanRaw {
   const ScanRawOptions& options() const { return options_; }
   PipelineProfile& profile() { return profile_; }
   // Telemetry sink wired at construction (null when options.telemetry was
-  // unset); tracer() is the chunk-lifecycle trace ring, or nullptr.
+  // unset).
   obs::Telemetry* telemetry() const { return options_.telemetry; }
-  obs::ChunkTracer* tracer() const {
-    return options_.telemetry != nullptr ? &options_.telemetry->tracer()
-                                         : nullptr;
-  }
   ChunkCache& cache() { return cache_; }
   PositionalMapCache& positional_maps() { return positional_maps_; }
   // Distinct/sample sketches collected during conversion; only populated

@@ -8,10 +8,10 @@
 #include <string>
 
 #include "common/clock.h"
-#include "obs/bench_compare.h"
 #include "obs/explain.h"
 #include "obs/progress.h"
 #include "obs/span_profiler.h"
+#include "tools/bench_comparison.h"
 
 namespace scanraw {
 namespace obs {

@@ -148,6 +148,87 @@ TEST_F(FlightRecorderTest, ReleasedRingsAreReusedByLaterThreads) {
   EXPECT_EQ(FlightRecorder::Global()->events_dropped(), 0u);
 }
 
+// The Chrome export: stage spans are complete events with their recorded
+// start and duration, everything else is an instant; chunk events carry the
+// chunk and its source, and a READ of a database chunk reads "db".
+TEST_F(FlightRecorderTest, ChromeTraceExportShape) {
+  FlightRecorder* recorder = FlightRecorder::Global();
+  recorder->RecordSpan(FlightEvent::kReadDb, 5'000'000, 2'000'000, 3, 4096);
+  recorder->RecordSpan(FlightEvent::kTokenize, 6'000'000, 1'500, 3, 100);
+  // A span longer than 2^32 us saturates instead of wrapping.
+  recorder->RecordSpan(FlightEvent::kWrite, 7'000'000, int64_t{1} << 53, 3,
+                       0);
+  FlightRecord(FlightEvent::kSpeculativeTrigger, 3);
+  FlightRecord(FlightEvent::kQueryBegin, 2, 1);
+
+  const std::string json = recorder->ToChromeTraceJson("scanraw_cli");
+  EXPECT_EQ(json.rfind("[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+                       "\"args\":{\"name\":\"scanraw_cli\"}}",
+                       0),
+            0u)
+      << json;
+  EXPECT_EQ(json.substr(json.size() - 2), "]\n");
+  const std::string tid =
+      ",\"pid\":1,\"tid\":" + std::to_string(CurrentThreadId());
+  const std::string chunk3 = ",\"args\":{\"chunk\":3,\"source\":";
+  const std::vector<std::string> expected = {
+      "{\"name\":\"read-db\",\"cat\":\"scanraw\",\"ph\":\"X\",\"ts\":0,"
+      "\"dur\":2000" + tid + chunk3 + "\"db\"}}",
+      "{\"name\":\"tokenize\",\"cat\":\"scanraw\",\"ph\":\"X\",\"ts\":1000,"
+      "\"dur\":1" + tid + chunk3 + "\"raw\"}}",
+      "{\"name\":\"write\",\"cat\":\"scanraw\",\"ph\":\"X\",\"ts\":2000,"
+      "\"dur\":4294967295" + tid + chunk3 + "\"raw\"}}",
+      "{\"name\":\"spec-trigger\",\"cat\":\"scanraw\",\"ph\":\"i\"",
+      "{\"name\":\"query-begin\",\"cat\":\"scanraw\",\"ph\":\"i\"",
+      ",\"args\":{\"a\":2,\"b\":1}}",
+  };
+  for (const std::string& event : expected) {
+    EXPECT_NE(json.find(event), std::string::npos) << event << "\n" << json;
+  }
+}
+
+TEST_F(FlightRecorderTest, ChromeTraceEscapesProcessName) {
+  FlightRecorder* recorder = FlightRecorder::Global();
+  recorder->RecordSpan(FlightEvent::kRead, 1000, 50, 0, 0);
+  EXPECT_EQ(recorder->ToChromeTraceJson("").find("\"ph\":\"M\""),
+            std::string::npos);
+
+  // Names flow from user input; quotes, backslashes and control characters
+  // must not corrupt the JSON.
+  const std::string json =
+      recorder->ToChromeTraceJson("scanraw:\"quoted\\table\"\n\ttab");
+  EXPECT_NE(json.find("scanraw:\\\"quoted\\\\table\\\"\\n\\ttab"),
+            std::string::npos)
+      << json;
+  for (char c : json) {
+    EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n')
+        << "raw control char in JSON: " << static_cast<int>(c);
+  }
+}
+
+// Exports read the rings while pipeline threads keep recording; run under
+// TSan, this pins that the export touches only the slots' atomics.
+TEST_F(FlightRecorderTest, ChromeTraceExportWhileRecording) {
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; ++t) {
+    writers.emplace_back([&stop] {
+      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        FlightRecorder::Global()->RecordSpan(FlightEvent::kParse, 1000 + i,
+                                             2000, i, 0);
+      }
+    });
+  }
+  for (int i = 0; i < 20; ++i) {
+    const std::string json =
+        FlightRecorder::Global()->ToChromeTraceJson("scanraw_cli");
+    EXPECT_EQ(json.front(), '[');
+    EXPECT_EQ(json.substr(json.size() - 2), "]\n");
+  }
+  stop.store(true);
+  for (std::thread& t : writers) t.join();
+}
+
 // The acceptance scenario: a child process runs the real conversion
 // pipeline with an armed kill-point, the injected crash dumps the flight
 // recorder, and the parent asserts the dump contains events from every

@@ -1,7 +1,6 @@
 // Tests for the obs/ building blocks in isolation: counters, gauges,
-// log-bucketed histograms (quantiles, reset, JSON), the chunk-lifecycle
-// tracer (ring wrap, Chrome export), the resource log, and the sampler
-// thread.
+// log-bucketed histograms (quantiles, reset, JSON), the resource log, the
+// sampler thread, and per-thread ids.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +12,11 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/resource_sampler.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 
 namespace scanraw {
 namespace obs {
@@ -196,133 +195,6 @@ TEST(JsonEscapeTest, EscapesControlAndQuotes) {
   EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
 }
 
-TEST(ChunkTracerTest, RecordsSpansInOrder) {
-  ChunkTracer tracer(16);
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 1000, 50);
-  tracer.RecordSpan(TraceStage::kTokenize, ChunkSource::kRaw, 0, 1100, 70);
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].stage, TraceStage::kRead);
-  EXPECT_EQ(events[1].stage, TraceStage::kTokenize);
-  EXPECT_EQ(tracer.recorded(), 2u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-TEST(ChunkTracerTest, RingWrapKeepsNewestAndCountsDropped) {
-  ChunkTracer tracer(4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    tracer.RecordSpan(TraceStage::kParse, ChunkSource::kRaw, i, 1000 + i, 1);
-  }
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().chunk_index, 6u);
-  EXPECT_EQ(events.back().chunk_index, 9u);
-  EXPECT_EQ(tracer.recorded(), 10u);
-  EXPECT_EQ(tracer.dropped(), 6u);
-}
-
-// Chunk indexes of the tracer's snapshot, oldest first.
-std::vector<uint64_t> SnapshotChunks(const ChunkTracer& tracer) {
-  std::vector<uint64_t> chunks;
-  for (const TraceEvent& e : tracer.Snapshot()) chunks.push_back(e.chunk_index);
-  return chunks;
-}
-
-void RecordChunks(ChunkTracer* tracer, uint64_t first, uint64_t count) {
-  for (uint64_t i = first; i < first + count; ++i) {
-    tracer->RecordSpan(TraceStage::kRead, ChunkSource::kRaw, i, 1000 + i, 1);
-  }
-}
-
-TEST(ChunkTracerTest, PartlyFilledRingSnapshotsInRecordOrder) {
-  ChunkTracer tracer(8);
-  EXPECT_TRUE(tracer.Snapshot().empty());
-  RecordChunks(&tracer, 0, 5);
-  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(tracer.recorded(), 5u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-TEST(ChunkTracerTest, RingWrapsExactlyAtCapacity) {
-  ChunkTracer tracer(4);
-  RecordChunks(&tracer, 0, 4);
-  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(tracer.dropped(), 0u);
-  RecordChunks(&tracer, 4, 1);
-  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{1, 2, 3, 4}));
-  EXPECT_EQ(tracer.dropped(), 1u);
-  RecordChunks(&tracer, 5, 6);
-  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{7, 8, 9, 10}));
-  EXPECT_EQ(tracer.recorded(), 11u);
-  EXPECT_EQ(tracer.dropped(), 7u);
-}
-
-TEST(ChunkTracerTest, ClearThenRecordSnapshotsOnlyNewEvents) {
-  ChunkTracer tracer(8);
-  RecordChunks(&tracer, 0, 3);
-  tracer.Clear();
-  EXPECT_TRUE(tracer.Snapshot().empty());
-  RecordChunks(&tracer, 100, 2);
-  EXPECT_EQ(SnapshotChunks(tracer), (std::vector<uint64_t>{100, 101}));
-  EXPECT_EQ(tracer.recorded(), 2u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-  // A wrapped ring cleared and refilled past capacity wraps afresh.
-  RecordChunks(&tracer, 102, 10);
-  tracer.Clear();
-  RecordChunks(&tracer, 200, 9);
-  EXPECT_EQ(SnapshotChunks(tracer),
-            (std::vector<uint64_t>{201, 202, 203, 204, 205, 206, 207, 208}));
-  EXPECT_EQ(tracer.dropped(), 1u);
-}
-
-TEST(ChunkTracerTest, ZeroCapacityDisablesRecording) {
-  ChunkTracer tracer(0);
-  EXPECT_FALSE(tracer.enabled());
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 0, 1);
-  EXPECT_TRUE(tracer.Snapshot().empty());
-}
-
-TEST(ChunkTracerTest, ChromeExportShape) {
-  ChunkTracer tracer(16);
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kDb, 3, 5000, 2000);
-  tracer.RecordInstant(TraceStage::kSpeculativeTrigger, 3);
-  const std::string json = tracer.ToChromeTraceJson();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("READ"), std::string::npos);
-  EXPECT_NE(json.find("SPECULATIVE_TRIGGER"), std::string::npos);
-  EXPECT_NE(json.find("\"db\""), std::string::npos);
-  // Loadable as a top-level array (trailing newline allowed).
-  EXPECT_NE(json.find_last_of(']'), std::string::npos);
-}
-
-TEST(ChunkTracerTest, LabelIsEscapedInChromeExport) {
-  ChunkTracer tracer(16);
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 1000, 50);
-
-  // Labels flow from user input (table names, file paths); quotes,
-  // backslashes and control characters must not corrupt the JSON.
-  tracer.SetLabel("scanraw:\"quoted\\table\"\n\ttab");
-  EXPECT_EQ(tracer.label(), "scanraw:\"quoted\\table\"\n\ttab");
-  const std::string json = tracer.ToChromeTraceJson();
-  EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
-  EXPECT_NE(json.find("scanraw:\\\"quoted\\\\table\\\"\\n\\ttab"),
-            std::string::npos);
-  // No raw control characters survive anywhere in the export.
-  for (char c : json) {
-    EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n')
-        << "raw control char in JSON: " << static_cast<int>(c);
-  }
-}
-
-TEST(ChunkTracerTest, EmptyLabelOmitsMetadataEvent) {
-  ChunkTracer tracer(16);
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 1000, 50);
-  const std::string json = tracer.ToChromeTraceJson();
-  EXPECT_EQ(json.find("\"ph\":\"M\""), std::string::npos);
-}
-
 TEST(JsonEscapeTest, ControlCharactersUseUnicodeEscapes) {
   // Control characters without shorthand escapes use \u00XX.
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
@@ -394,14 +266,12 @@ TEST(ResourceSamplerTest, PeriodicSampling) {
 TEST(TelemetryTest, CombinedJsonExport) {
   Telemetry telemetry;
   telemetry.metrics().GetCounter("a")->Add(1);
-  telemetry.tracer().RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 0, 1);
   ResourceSample s;
   s.advice = "balanced";
   telemetry.resources().Append(std::move(s));
   const std::string json = telemetry.ToJson();
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"resource_samples\""), std::string::npos);
-  EXPECT_NE(json.find("\"trace_events_recorded\":1"), std::string::npos);
 }
 
 TEST(HistogramTest, EmptyQuantilesAreZero) {

@@ -185,6 +185,29 @@ TEST(ParseChunkTest, MalformedValueReportsLocation) {
   EXPECT_NE(binary.status().message().find("row 1"), std::string::npos);
 }
 
+TEST(ParseChunkTest, SpanPastChunkIsCorruption) {
+  // Only a corrupt positional map holds such a span. Row 0 maps to [4, 9)
+  // of the 5-byte chunk; its text clamped to the chunk ("9") parses, and
+  // the rows after it must not come back silently zero.
+  Schema schema = Schema::AllUint32(1);
+  TextChunk chunk = MakeTextChunk("7\n8\n9", 5);
+  PositionalMap map = Tokenize(chunk, schema);
+  ASSERT_EQ(map.num_rows(), 3u);
+  map.Set(0, 0, 4);
+  map.Set(0, 1, 9);
+  for (bool pushdown : {false, true}) {
+    ParseOptions opts;
+    if (pushdown) opts.pushdown = PushdownFilter{0, 0, 100};
+    auto binary = ParseChunk(chunk, map, schema, opts);
+    ASSERT_FALSE(binary.ok()) << "push-down " << pushdown;
+    EXPECT_TRUE(binary.status().IsCorruption())
+        << binary.status().ToString();
+    EXPECT_NE(binary.status().message().find("chunk 5 row 0 col 0"),
+              std::string::npos)
+        << binary.status().ToString();
+  }
+}
+
 TEST(ParseChunkTest, PushdownSelectionFiltersRows) {
   Schema schema = Schema::AllUint32(2);
   TextChunk chunk = MakeTextChunk("10,1\n20,2\n30,3\n40,4\n");

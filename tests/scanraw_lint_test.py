@@ -401,6 +401,21 @@ class LintTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("[flight-record-path]", out)
 
+    def test_flight_record_span_wrapper_caught(self):
+        # Any FlightRecord* wrapper is part of the record path, not just
+        # FlightRecord itself.
+        self.write("src/obs/flight_recorder.h",
+                   "#ifndef SCANRAW_OBS_FLIGHT_RECORDER_H_\n"
+                   "#define SCANRAW_OBS_FLIGHT_RECORDER_H_\n"
+                   "inline void FlightRecordSpan(FlightEvent e, int64_t t) {\n"
+                   "  MutexLock lock(mu_);\n"
+                   "}\n"
+                   "#endif  // SCANRAW_OBS_FLIGHT_RECORDER_H_\n")
+        code, out = self.lint("src/obs/flight_recorder.h")
+        self.assertEqual(code, 1)
+        self.assertIn("[flight-record-path]", out)
+        self.assertIn("mutex acquisition", out)
+
     def test_flight_record_atomic_stores_pass(self):
         self.write("src/obs/flight_recorder.cc",
                    self.record_fn("slot.a.store(a, std::memory_order_relaxed);"))

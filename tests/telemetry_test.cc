@@ -1,12 +1,14 @@
 // Tests for the telemetry wiring through the SCANRAW pipeline: the §3.3
 // resource-advice classification, reconciliation of the PipelineProfile
 // counters with catalog state after a multi-query speculative run, and the
-// registry / tracer / sampler integration through the ScanRawManager.
+// registry / flight-recorder trace / sampler integration through the
+// ScanRawManager.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 
 #include "datagen/csv_generator.h"
 #include "obs/explain.h"
+#include "obs/flight_recorder.h"
 #include "obs/progress.h"
 #include "obs/telemetry.h"
 #include "scanraw/scan_raw.h"
@@ -283,8 +286,50 @@ TEST(ManagerTelemetryTest, StageHistogramsAndCacheCountersPopulate) {
   EXPECT_EQ(advice_total, telemetry->resources().total_appended());
 }
 
+// Counts the flight recorder's exported events by name and chunk arg (-1
+// for events without one). The export puts one event per line.
+std::map<std::pair<std::string, int64_t>, uint64_t> CountTraceEvents() {
+  const std::string json =
+      obs::FlightRecorder::Global()->ToChromeTraceJson("telemetry_test");
+  EXPECT_EQ(json.front(), '[');
+  std::map<std::pair<std::string, int64_t>, uint64_t> counts;
+  size_t begin = 0;
+  while (begin < json.size()) {
+    size_t end = json.find('\n', begin);
+    if (end == std::string::npos) end = json.size();
+    const std::string line = json.substr(begin, end - begin);
+    begin = end + 1;
+    const size_t name = line.find("{\"name\":\"");
+    if (name == std::string::npos ||
+        line.find("\"ph\":\"M\"") != std::string::npos) {
+      continue;
+    }
+    const size_t name_begin = name + 9;
+    const std::string event =
+        line.substr(name_begin, line.find('"', name_begin) - name_begin);
+    const size_t chunk = line.find("\"chunk\":");
+    ++counts[{event, chunk == std::string::npos
+                         ? -1
+                         : std::stoll(line.substr(chunk + 8))}];
+  }
+  return counts;
+}
+
+uint64_t CountNamed(
+    const std::map<std::pair<std::string, int64_t>, uint64_t>& counts,
+    const std::string& name) {
+  uint64_t n = 0;
+  for (const auto& [key, count] : counts) {
+    if (key.first == name) n += count;
+  }
+  return n;
+}
+
 TEST(ManagerTelemetryTest, TracerRecordsFullChunkLifecycle) {
-  auto f = Fixture::Make("trace", BaseOptions());
+  obs::FlightRecorder::Global()->ResetForTest();
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kFullLoad;
+  auto f = Fixture::Make("trace", options);
   QuerySpec q;
   for (size_t c = 0; c < 8; ++c) q.sum_columns.push_back(c);
   ASSERT_TRUE(f.manager->Query("t", q).ok());
@@ -292,32 +337,49 @@ TEST(ManagerTelemetryTest, TracerRecordsFullChunkLifecycle) {
   ASSERT_NE(op, nullptr);
   op->WaitForWrites();
 
-  obs::ChunkTracer& tracer = f.manager->telemetry()->tracer();
-  auto events = tracer.Snapshot();
-  ASSERT_FALSE(events.empty());
-
-  // Every raw chunk of the discovery scan has a complete
-  // READ -> TOKENIZE -> PARSE span set; written chunks add WRITE.
-  for (uint64_t chunk = 0; chunk < 8; ++chunk) {
-    bool read = false, tokenize = false, parse = false;
-    for (const obs::TraceEvent& e : events) {
-      if (e.chunk_index != chunk) continue;
-      read = read || e.stage == obs::TraceStage::kRead;
-      tokenize = tokenize || e.stage == obs::TraceStage::kTokenize;
-      parse = parse || e.stage == obs::TraceStage::kParse;
+  // Every raw chunk of the discovery scan left exactly one READ, TOKENIZE
+  // and PARSE span; every written chunk one WRITE span.
+  const auto counts = CountTraceEvents();
+  for (int64_t chunk = 0; chunk < 8; ++chunk) {
+    for (const char* stage : {"read", "tokenize", "parse"}) {
+      auto it = counts.find({stage, chunk});
+      EXPECT_EQ(it == counts.end() ? 0u : it->second, 1u)
+          << stage << " of chunk " << chunk;
     }
-    EXPECT_TRUE(read && tokenize && parse) << "chunk " << chunk;
   }
-  uint64_t writes = 0;
-  for (const obs::TraceEvent& e : events) {
-    if (e.stage == obs::TraceStage::kWrite) ++writes;
-  }
-  EXPECT_EQ(writes, op->profile().chunks_written.load());
+  EXPECT_EQ(CountNamed(counts, "read"), 8u);
+  EXPECT_EQ(CountNamed(counts, "tokenize"), 8u);
+  EXPECT_EQ(CountNamed(counts, "parse"), 8u);
+  EXPECT_EQ(CountNamed(counts, "read-db"), 0u);
+  EXPECT_EQ(op->profile().chunks_written.load(), 8u);
+  EXPECT_EQ(CountNamed(counts, "write"), op->profile().chunks_written.load());
+}
 
-  const std::string json = tracer.ToChromeTraceJson();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find_last_of(']'), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+TEST(ManagerTelemetryTest, EachSpeculativeTriggerLeavesOneFlightEvent) {
+  obs::FlightRecorder::Global()->ResetForTest();
+  ScanRawOptions options = BaseOptions();
+  // Sequential, one slot per buffer: READ blocks after every chunk (the §4
+  // trigger point), and from the third chunk on a parsed, unloaded chunk
+  // waits in the cache to be written.
+  options.num_workers = 0;
+  options.text_buffer_capacity = 1;
+  options.position_buffer_capacity = 1;
+  auto f = Fixture::Make("spec_trigger", options);
+  QuerySpec q;
+  for (size_t c = 0; c < 8; ++c) q.sum_columns.push_back(c);
+  ASSERT_TRUE(f.manager->Query("t", q).ok());
+  ScanRaw* op = f.manager->GetOperator("t");
+  ASSERT_NE(op, nullptr);
+  op->WaitForWrites();
+
+  const auto counts = CountTraceEvents();
+  const PipelineProfile& profile = op->profile();
+  EXPECT_GT(profile.speculative_triggers.load(), 0u);
+  EXPECT_EQ(CountNamed(counts, "spec-trigger"),
+            profile.speculative_triggers.load());
+  EXPECT_EQ(CountNamed(counts, "read-blocked"),
+            profile.read_blocked_events.load());
+  EXPECT_EQ(CountNamed(counts, "write"), profile.chunks_written.load());
 }
 
 TEST(ManagerTelemetryTest, ExplicitSinkOverridesManagerSink) {

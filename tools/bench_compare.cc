@@ -17,7 +17,7 @@
 #include <string>
 
 #include "io/file.h"
-#include "obs/bench_compare.h"
+#include "tools/bench_comparison.h"
 
 namespace scanraw {
 namespace {
@@ -64,10 +64,10 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  auto load = [](const std::string& path) -> Result<obs::BenchTable> {
+  auto load = [](const std::string& path) -> Result<BenchTable> {
     auto contents = ReadFileToString(path);
     if (!contents.ok()) return contents.status();
-    return obs::ParseBenchJson(*contents);
+    return ParseBenchJson(*contents);
   };
   auto baseline = load(baseline_path);
   if (!baseline.ok()) {
@@ -86,8 +86,8 @@ int Run(int argc, char** argv) {
                  baseline->name.c_str(), candidate->name.c_str());
   }
 
-  const obs::BenchComparison comparison =
-      obs::CompareBenchTables(*baseline, *candidate, threshold_pct);
+  const BenchComparison comparison =
+      CompareBenchTables(*baseline, *candidate, threshold_pct);
   std::printf("bench %s: baseline=%s candidate=%s threshold=%.1f%%\n",
               candidate->name.c_str(), baseline_path.c_str(),
               candidate_path.c_str(), threshold_pct);

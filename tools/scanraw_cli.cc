@@ -32,8 +32,10 @@
 //                         from rolling throughput) to stderr while a query
 //                         runs
 //   --progress-interval-ms N  progress reporting period (default 200)
-//   --trace-out PATH      write the chunk-lifecycle trace as a Chrome
-//                         trace_event JSON array (load via chrome://tracing)
+//   --trace-out PATH      write the flight recorder's chunk-stage spans and
+//                         scheduler events as a Chrome trace_event JSON
+//                         array (load via chrome://tracing); holds each
+//                         thread's last 256 events
 //   --sample-interval-ms N  period of the §3.3 resource-advice sampler
 //                         (default 2 when --metrics/--trace-out is given)
 //   --query-log PATH      append one JSONL event per query (spec, stage
@@ -885,7 +887,8 @@ int Run(int argc, char** argv) {
     }
   }
   if (!options->trace_path.empty()) {
-    const std::string json = telemetry->tracer().ToChromeTraceJson();
+    obs::FlightRecorder* recorder = obs::FlightRecorder::Global();
+    const std::string json = recorder->ToChromeTraceJson("scanraw_cli");
     std::FILE* f = std::fopen(options->trace_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "trace: cannot open %s\n",
@@ -894,10 +897,11 @@ int Run(int argc, char** argv) {
     }
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
-    std::printf("trace written to %s (%llu events, %llu dropped)\n",
+    std::printf("trace written to %s (%llu events recorded, each thread's "
+                "last %zu kept)\n",
                 options->trace_path.c_str(),
-                static_cast<unsigned long long>(telemetry->tracer().recorded()),
-                static_cast<unsigned long long>(telemetry->tracer().dropped()));
+                static_cast<unsigned long long>(recorder->events_recorded()),
+                obs::FlightRecorder::kRingEvents);
   }
   if (options->flight_dump) {
     if (options->flight_dump_path.empty()) {

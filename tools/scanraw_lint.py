@@ -112,11 +112,11 @@ STATE_WRITE_RE = re.compile(r"\bWriteStringToFile\s*\(")
 
 # flight-record-path: files and function names forming the record path.
 FLIGHT_FILE_MARKER = "flight_recorder"
-# A definition-looking line whose function name is Record* or FlightRecord
+# A definition-looking line whose function name is Record* or FlightRecord*
 # (optionally class-qualified). Declarations (ending in `;` before any `{`)
 # are skipped by the body scan.
 FLIGHT_FUNC_RE = re.compile(
-    r"^[\w][\w:\s<>*&]*\b(?:\w+::)?(Record\w*|FlightRecord)\s*\(")
+    r"^[\w][\w:\s<>*&]*\b(?:\w+::)?(Record\w*|FlightRecord\w*)\s*\(")
 FLIGHT_FORBIDDEN = (
     ("mutex acquisition",
      re.compile(r"\bMutexLock\b|\bCondVar\b|\.\s*[Ll]ock\s*\(")),
