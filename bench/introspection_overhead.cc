@@ -1,8 +1,10 @@
 // CI gate: the live introspection plane — stats server thread, stall
 // watchdog, 1 Hz time-series sampling, and stage heartbeats — must cost at
 // most ~2% wall time on a cold scan. Every hook on the hot path is a
-// relaxed atomic (heartbeat beats, rate counters) and every consumer runs
-// on its own thread, so any measurable slowdown means a lock or a syscall
+// relaxed atomic (heartbeat beats, rate counters), the server runs on its
+// own thread, and the watchdog's check and the rings' 1 Hz sampling (the
+// telemetry's default interval, registered by the server) run on the
+// process's ticker, so any measurable slowdown means a lock or a syscall
 // leaked into query execution.
 //
 // Method: two identical managers over the same CSV — one bare, one with
@@ -63,9 +65,6 @@ Setup MakeManager(const std::string& csv, const CsvSpec& spec,
   options.cache_capacity_chunks = 0;  // no residency: every query is cold
   options.num_workers = 4;
   options.chunk_rows = kChunkRows;
-  if (instrumented) {
-    options.timeseries_interval_ms = 1000;  // 1 Hz rings
-  }
   bench::CheckOk(
       setup.manager->RegisterRawFile("t", csv, CsvSchema(spec), options),
       "register");

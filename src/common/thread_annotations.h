@@ -109,9 +109,8 @@ enum class LockRank : int {
   kTimeSeries = 160,       // obs::TimeSeries registry (holds ring locks)
   kSpanProfiler = 200,     // obs::SpanProfiler span table
   kResourceLog = 210,      // obs::ResourceLog sample ring
-  kResourceSampler = 220,  // obs::ResourceSampler thread state
-  kProgressReporter = 230, // obs::ProgressReporter thread state
-  kProgressTracker = 240,  // obs::ProgressTracker chunk bitmaps
+  kTicker = 220,           // pipeline::Ticker task list (ticks run unlocked)
+  kProgressTracker = 240,  // obs::ProgressTracker totals + rolling window
   kSketches = 260,         // db::TableSketches per-chunk zone maps
   kWorkloadHistory = 280,  // obs::WorkloadHistory table stats
   kCatalog = 300,          // Catalog table map

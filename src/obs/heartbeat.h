@@ -2,7 +2,7 @@
 // (READ, TOKENIZE, PARSE, WRITE, plus the DiskArbiter's blocking waits)
 // ticks a relaxed atomic counter whenever it makes progress and marks
 // itself active while it has work in flight. The watchdog samples the
-// counters from its own thread: a stage that is active but whose beat count
+// counters on the ticker: a stage that is active but whose beat count
 // stops moving for a whole window is stalled. Header-only and dependency
 // free so both the io layer (DiskArbiter) and the core pipeline can beat
 // into the same instance without linking anything new; the hot path cost is

@@ -1,7 +1,6 @@
 #include "obs/progress.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 namespace scanraw {
@@ -15,12 +14,14 @@ std::string QueryProgress::ToLine() const {
   } else {
     std::snprintf(eta, sizeof(eta), "ETA --");
   }
-  if (bytes_total > 0) {
+  if (bytes_total > 0 || complete) {
+    // A finished discovery scan's chunk total is what it delivered.
     std::snprintf(buf, sizeof(buf),
                   "%5.1f%% %6.1f MB/s %s (%llu/%llu chunks, %llu loaded)",
                   100.0 * fraction, throughput_bps / 1e6, eta,
                   static_cast<unsigned long long>(chunks_delivered),
-                  static_cast<unsigned long long>(chunks_total),
+                  static_cast<unsigned long long>(
+                      chunks_total > 0 ? chunks_total : chunks_delivered),
                   static_cast<unsigned long long>(chunks_loaded));
   } else {
     std::snprintf(buf, sizeof(buf),
@@ -83,50 +84,6 @@ QueryProgress ProgressTracker::Snapshot() {
     p.eta_seconds = 0;
   }
   return p;
-}
-
-ProgressReporter::ProgressReporter(ProgressTracker* tracker,
-                                   ProgressCallback callback, int interval_ms)
-    : tracker_(tracker),
-      callback_(std::move(callback)),
-      interval_ms_(interval_ms) {}
-
-ProgressReporter::~ProgressReporter() { Stop(); }
-
-void ProgressReporter::Start() {
-  MutexLock lock(mu_);
-  if (started_) return;
-  started_ = true;
-  stop_ = false;
-  // scanraw-lint: allow(thread-spawn) progress timer, only with a callback
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void ProgressReporter::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (!started_ || stop_) {
-      if (thread_.joinable()) thread_.join();
-      return;
-    }
-    stop_ = true;
-  }
-  cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-  // Final report: the settled end state.
-  if (callback_) callback_(tracker_->Snapshot());
-}
-
-void ProgressReporter::Loop() {
-  if (callback_) callback_(tracker_->Snapshot());
-  while (true) {
-    {
-      MutexLock lock(mu_);
-      if (!stop_) cv_.WaitFor(lock, std::chrono::milliseconds(interval_ms_));
-      if (stop_) return;
-    }
-    if (callback_) callback_(tracker_->Snapshot());
-  }
 }
 
 }  // namespace obs

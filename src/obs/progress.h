@@ -1,18 +1,16 @@
 // Live query progress: a thread-safe tracker of bytes/chunks processed with
-// a rolling-window throughput estimate and ETA, plus a reporter thread that
-// invokes a callback on a fixed interval so the CLI can print a progress
-// line and benches can log phase timings without polling the pipeline
-// themselves. The tracker is clock-injected, so the window arithmetic is
-// unit-testable against a VirtualClock.
+// a rolling-window throughput estimate and ETA. A running query passes a
+// snapshot to its progress callback at start, every progress interval on
+// the ticker and at its end, so the CLI can print a progress line. The
+// tracker is clock-injected, so the window arithmetic is unit-testable
+// against a VirtualClock.
 #ifndef SCANRAW_OBS_PROGRESS_H_
 #define SCANRAW_OBS_PROGRESS_H_
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
-#include <thread>
 
 #include "common/clock.h"
 #include "common/thread_annotations.h"
@@ -40,13 +38,15 @@ struct QueryProgress {
   // reports emitted after ProgressTracker::MarkComplete.
   bool complete = false;
 
-  // "42.3% 12.4 MB/s ETA 3.2s (5/12 chunks)" — the CLI's progress line.
+  // "42.3% 12.4 MB/s ETA 3.2s (5/12 chunks)" — the CLI's progress line;
+  // "1.2 MB 12.4 MB/s (5 chunks)" while a discovery scan's total is
+  // unknown, and "100.0%" once it completes.
   std::string ToLine() const;
 };
 
 // Accumulates progress and computes the rolling estimate. All methods are
 // thread-safe; AddBytes/CountChunk are called from pipeline threads and
-// Snapshot from the reporter thread.
+// Snapshot from the query's progress reports.
 class ProgressTracker {
  public:
   explicit ProgressTracker(uint64_t bytes_total = 0,
@@ -62,8 +62,8 @@ class ProgressTracker {
 
   // Marks the query as cleanly finished: every later Snapshot reports
   // fraction 1.0, ETA 0, and complete=true. Called once by the pipeline
-  // after a successful drain, before the reporter's final callback, so the
-  // last progress line always reads 100% even when totals were estimates.
+  // after a successful drain, before the final report, so the last
+  // progress line always reads 100% even when totals were estimates.
   void MarkComplete() { complete_.store(true, std::memory_order_release); }
   bool complete() const { return complete_.load(std::memory_order_acquire); }
 
@@ -88,38 +88,6 @@ class ProgressTracker {
   int64_t start_nanos_ GUARDED_BY(mu_) = 0;
   // Rolling (timestamp, bytes) samples.
   std::deque<std::pair<int64_t, uint64_t>> window_ GUARDED_BY(mu_);
-};
-
-using ProgressCallback = std::function<void(const QueryProgress&)>;
-
-// Invokes `callback(tracker->Snapshot())` every `interval_ms` on a
-// dedicated thread, plus once on Start and once on Stop so even
-// sub-interval queries emit a first and a final report.
-class ProgressReporter {
- public:
-  ProgressReporter(ProgressTracker* tracker, ProgressCallback callback,
-                   int interval_ms);
-  ~ProgressReporter();
-  ProgressReporter(const ProgressReporter&) = delete;
-  ProgressReporter& operator=(const ProgressReporter&) = delete;
-
-  void Start() EXCLUDES(mu_);
-  // Joins the thread and emits the final report. Idempotent; the destructor
-  // calls it.
-  void Stop() EXCLUDES(mu_);
-
- private:
-  void Loop() EXCLUDES(mu_);
-
-  ProgressTracker* const tracker_;
-  const ProgressCallback callback_;
-  const int interval_ms_;
-  Mutex mu_{LockRank::kProgressReporter, "ProgressReporter.mu"};
-  CondVar cv_;
-  // Started under mu_ in Start, joined lock-free in Stop after stop_ flips.
-  std::thread thread_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  bool started_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace obs

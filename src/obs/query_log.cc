@@ -398,9 +398,9 @@ Status QueryLog::AppendLocked(const std::string& line) {
     needs_newline_ = false;
   }
   SCANRAW_RETURN_IF_ERROR(file_->Append(line));
-  SCANRAW_RETURN_IF_ERROR(file_->Flush());
-  if (options_.sync_each_append) return file_->Sync();
-  return Status::OK();
+  // Flushed, never synced: the log is advisory state, and a torn tail is
+  // recoverable by design.
+  return file_->Flush();
 }
 
 Status QueryLog::Append(QueryLogEvent event) {

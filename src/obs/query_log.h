@@ -76,9 +76,6 @@ struct QueryLogOptions {
   // Rotate the current file to `<path>.1` once it exceeds this size. One
   // previous generation is kept; ReadAll reads both.
   uint64_t rotate_bytes = 64ull << 20;
-  // Sync() after every append. Off by default: the log is advisory state,
-  // and a torn tail is recoverable by design.
-  bool sync_each_append = false;
 };
 
 // Append-only JSONL writer with rotation. Append is mutex-serialized; this

@@ -1,17 +1,14 @@
-// Resource-advice sampling (§3.3): a background thread periodically probes
-// the live pipeline (buffer occupancy, busy workers, cache fill, disk
-// arbiter busy time) and appends a time-series sample including the
+// Resource-advice samples (§3.3): a running query probes the live pipeline
+// (buffer occupancy, busy workers, cache fill, disk arbiter busy time) at
+// start, every sampling interval on the ticker and at its end, with the
 // scheduler's resource Advice state (kNeedMoreCpu / kIoBound /
 // kEngineBound). The series makes speculative-trigger decisions auditable
 // after the fact and feeds the CLI's --metrics=json export.
 #ifndef SCANRAW_OBS_RESOURCE_SAMPLER_H_
 #define SCANRAW_OBS_RESOURCE_SAMPLER_H_
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -38,7 +35,7 @@ struct ResourceSample {
   int64_t disk_writer_busy_nanos = 0;
 };
 
-// Bounded, thread-safe sample store shared by every sampler attached to the
+// Bounded, thread-safe sample store shared by every query recording into the
 // same telemetry sink. Keeps the most recent `capacity` samples.
 class ResourceLog {
  public:
@@ -59,44 +56,6 @@ class ResourceLog {
   mutable Mutex mu_{LockRank::kResourceLog, "ResourceLog.mu"};
   std::vector<ResourceSample> ring_ GUARDED_BY(mu_);
   uint64_t next_ GUARDED_BY(mu_) = 0;
-};
-
-// Periodically invokes `probe` on a dedicated thread and appends the result
-// to `log`. Takes one sample immediately on Start and a final one on Stop,
-// so even sub-interval queries leave a visible series.
-class ResourceSampler {
- public:
-  using Probe = std::function<ResourceSample()>;
-
-  ResourceSampler(ResourceLog* log, Probe probe,
-                  std::chrono::milliseconds interval);
-  ~ResourceSampler();
-  ResourceSampler(const ResourceSampler&) = delete;
-  ResourceSampler& operator=(const ResourceSampler&) = delete;
-
-  void Start() EXCLUDES(mu_);
-  // Joins the thread and records the final sample. The final sample is
-  // emitted exactly once per sampler, even when Start was never called or
-  // the sampling interval never elapsed. Idempotent; the destructor calls
-  // it. The probe must stay valid until Stop returns.
-  void Stop() EXCLUDES(mu_);
-
-  bool running() const EXCLUDES(mu_);
-
- private:
-  void Loop() EXCLUDES(mu_);
-
-  ResourceLog* const log_;
-  const Probe probe_;
-  const std::chrono::milliseconds interval_;
-
-  mutable Mutex mu_{LockRank::kResourceSampler, "ResourceSampler.mu"};
-  CondVar cv_;
-  // Started under mu_ in Start, joined lock-free in Stop after stop_ flips.
-  std::thread thread_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  bool started_ GUARDED_BY(mu_) = false;
-  bool final_emitted_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace obs

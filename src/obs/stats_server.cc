@@ -23,6 +23,8 @@ namespace {
 constexpr size_t kMaxRequestBytes = 8192;
 // Per-connection read patience; a scraper that stalls longer is dropped.
 constexpr int kClientReadTimeoutMs = 2000;
+// Trailing window of the ring-derived rates on /metrics and /statusz.
+constexpr int64_t kRateWindowNanos = 10'000'000'000;  // 10 s
 
 std::string FormatDouble(double v) {
   char buf[64];
@@ -81,59 +83,71 @@ Status StatsServer::Start() {
   if (options_.telemetry == nullptr) {
     return Status::InvalidArgument("stats server needs a Telemetry sink");
   }
-  MutexLock lock(mu_);
-  if (running_) return Status::OK();
+  {
+    MutexLock lock(mu_);
+    if (running_) return Status::OK();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("stats server socket: ") +
-                           std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return Status::IoError(std::string("stats server socket: ") +
+                             std::strerror(errno));
+    }
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::IoError("stats server bind to port " +
-                           std::to_string(options_.port) + ": " +
-                           std::strerror(err));
-  }
-  if (::listen(fd, 16) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::IoError(std::string("stats server listen: ") +
-                           std::strerror(err));
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::IoError(std::string("stats server getsockname: ") +
-                           std::strerror(err));
-  }
-  if (::pipe(wake_pipe_) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::IoError(std::string("stats server pipe: ") +
-                           std::strerror(err));
-  }
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(options_.port));
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      const int err = errno;
+      ::close(fd);
+      return Status::IoError("stats server bind to port " +
+                             std::to_string(options_.port) + ": " +
+                             std::strerror(err));
+    }
+    if (::listen(fd, 16) != 0) {
+      const int err = errno;
+      ::close(fd);
+      return Status::IoError(std::string("stats server listen: ") +
+                             std::strerror(err));
+    }
+    socklen_t addr_len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) !=
+        0) {
+      const int err = errno;
+      ::close(fd);
+      return Status::IoError(std::string("stats server getsockname: ") +
+                             std::strerror(err));
+    }
+    if (::pipe(wake_pipe_) != 0) {
+      const int err = errno;
+      ::close(fd);
+      return Status::IoError(std::string("stats server pipe: ") +
+                             std::strerror(err));
+    }
 
-  listen_fd_ = fd;
-  port_.store(ntohs(addr.sin_port), std::memory_order_relaxed);
-  running_ = true;
-  // scanraw-lint: allow(thread-spawn) the HTTP stats server's accept loop
-  thread_ = std::thread([this] { AcceptLoop(); });
+    listen_fd_ = fd;
+    port_.store(ntohs(addr.sin_port), std::memory_order_relaxed);
+    running_ = true;
+    // scanraw-lint: allow(thread-spawn) the HTTP stats server's accept loop
+    thread_ = std::thread([this] { AcceptLoop(); });
+  }
+  TimeSeries* timeseries = &options_.telemetry->timeseries();
+  if (timeseries->interval_nanos() > 0) {
+    sample_ = Ticker::Shared().Every(
+        std::chrono::nanoseconds(timeseries->interval_nanos()),
+        [timeseries] {
+          timeseries->SampleNow(RealClock::Instance()->NowNanos());
+        });
+  }
   LOG_INFO("stats server listening on 127.0.0.1:%d", port());
   return Status::OK();
 }
 
 void StatsServer::Stop() {
+  sample_.Cancel();
   {
     MutexLock lock(mu_);
     if (!running_) return;
@@ -241,10 +255,6 @@ std::string StatsServer::RouteRequest(const std::string& request_line) {
 
 std::string StatsServer::RenderMetrics() const {
   Telemetry* telemetry = options_.telemetry;
-  // A scrape doubles as a sampling edge so rates work even when no probe
-  // thread is running (respects the configured cadence).
-  telemetry->timeseries().MaybeSample(RealClock::Instance()->NowNanos());
-
   const MetricsSnapshot snap = telemetry->metrics().Snapshot();
   std::string out;
   out.reserve(4096);
@@ -272,8 +282,7 @@ std::string StatsServer::RenderMetrics() const {
 
   // Ring-derived trailing rates (the live half: lifetime totals above,
   // what-happened-lately here).
-  const auto rows =
-      telemetry->timeseries().Rates(options_.rate_window_nanos);
+  const auto rows = telemetry->timeseries().Rates(kRateWindowNanos);
   for (const auto& row : rows) {
     if (row.kind != TimeSeries::Kind::kCounter) continue;
     const std::string prom = PrometheusName(row.name) + "_per_sec";
@@ -282,8 +291,7 @@ std::string StatsServer::RenderMetrics() const {
            FormatDouble(row.rate_defined ? row.rate_per_sec : 0.0) + "\n";
   }
   double hit_rate = 0.0;
-  if (telemetry->timeseries().CacheHitRate(options_.rate_window_nanos,
-                                           &hit_rate)) {
+  if (telemetry->timeseries().CacheHitRate(kRateWindowNanos, &hit_rate)) {
     out += "# TYPE scanraw_cache_hit_rate gauge\n";
     out += "scanraw_cache_hit_rate " + FormatDouble(hit_rate) + "\n";
   }
@@ -353,12 +361,10 @@ std::string StatsServer::RenderStatusz() const {
            std::to_string(telemetry->heartbeats().beats(stage)) + "\n";
   }
 
-  const auto rates =
-      telemetry->timeseries().Rates(options_.rate_window_nanos);
+  const auto rates = telemetry->timeseries().Rates(kRateWindowNanos);
   if (!rates.empty()) {
     out += "\ntrailing rates (window " +
-           std::to_string(options_.rate_window_nanos / 1'000'000'000) +
-           "s):\n";
+           std::to_string(kRateWindowNanos / 1'000'000'000) + "s):\n";
     for (const auto& row : rates) {
       out += "  " + row.name + ": ";
       if (row.kind == TimeSeries::Kind::kCounter) {

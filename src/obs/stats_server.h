@@ -5,7 +5,7 @@
 //
 //   /metrics  Prometheus text exposition (0.0.4) of every registry metric,
 //             plus ring-derived trailing rates (rows/s, bytes/s, cache hit
-//             rate) from the obs/timeseries.h rings.
+//             rate over the last 10 s) from the obs/timeseries.h rings.
 //   /statusz  human-readable: build info, uptime, watchdog state, and a
 //             caller-provided section (catalog + cache occupancy, active
 //             queries with per-stage span state).
@@ -15,7 +15,9 @@
 // Plain blocking sockets on a dedicated thread: one accept loop, one
 // request per connection, bounded request size. Scrapes read only relaxed
 // atomics and per-structure snapshots — never a pipeline lock — so a
-// scrape cannot stall a scan.
+// scrape cannot stall a scan. The rings are sampled by a task on the
+// process's ticker (pipeline/ticker.h) at the telemetry's time-series
+// interval, whether or not anyone scrapes; a scrape only reads them.
 #ifndef SCANRAW_OBS_STATS_SERVER_H_
 #define SCANRAW_OBS_STATS_SERVER_H_
 
@@ -28,6 +30,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "pipeline/ticker.h"
 
 namespace scanraw {
 namespace obs {
@@ -47,8 +50,6 @@ struct StatsServerOptions {
   std::function<std::string()> statusz_section;
   // Shown at the top of /statusz.
   std::string build_info = "scanraw";
-  // Trailing window for ring-derived rates on /metrics.
-  int64_t rate_window_nanos = 10'000'000'000;  // 10 s
 };
 
 class StatsServer {
@@ -58,8 +59,10 @@ class StatsServer {
   StatsServer(const StatsServer&) = delete;
   StatsServer& operator=(const StatsServer&) = delete;
 
-  // Binds, listens, and starts the accept thread. Fails (IoError) when the
-  // port is taken or telemetry is missing (InvalidArgument).
+  // Binds, listens, starts the accept thread and registers the time-series
+  // sampling tick (none when the telemetry's interval is 0). Fails
+  // (IoError) when the port is taken or telemetry is missing
+  // (InvalidArgument). Start and Stop belong to the owner's thread.
   Status Start() EXCLUDES(mu_);
   void Stop() EXCLUDES(mu_);  // idempotent; the destructor calls it
 
@@ -86,6 +89,7 @@ class StatsServer {
 
   std::atomic<int> port_{0};
   std::atomic<uint64_t> requests_served_{0};
+  Ticker::Handle sample_;  // set between Start and Stop
 
   mutable Mutex mu_{LockRank::kStatsServer, "StatsServer.mu"};
   std::thread thread_;

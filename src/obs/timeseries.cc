@@ -82,17 +82,12 @@ double TimeSeriesRing::RatePerSecond(int64_t window_nanos) const {
   return delta * 1e9 / static_cast<double>(elapsed);
 }
 
-TimeSeries::TimeSeries(TimeSeriesOptions options)
-    : ring_capacity_(options.ring_capacity == 0 ? 1 : options.ring_capacity),
-      interval_nanos_(options.interval_nanos > 0 ? options.interval_nanos
-                                                 : 0) {}
-
 void TimeSeries::Track(Series series) {
   MutexLock lock(mu_);
   for (const auto& existing : series_) {
     if (existing->name == series.name) return;  // idempotent
   }
-  series.ring = std::make_unique<TimeSeriesRing>(ring_capacity_);
+  series.ring = std::make_unique<TimeSeriesRing>(kRingCapacity);
   series_.push_back(std::make_unique<Series>(std::move(series)));
 }
 
@@ -154,22 +149,6 @@ void TimeSeries::SampleNow(int64_t now_nanos) {
   for (const auto& s : series_) {
     s->ring->Append(now_nanos, ReadSource(*s));
   }
-}
-
-bool TimeSeries::MaybeSample(int64_t now_nanos) {
-  const int64_t interval = interval_nanos_.load(std::memory_order_relaxed);
-  if (interval <= 0) return false;  // disabled
-  int64_t last = last_sample_nanos_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (last != 0 && now_nanos - last < interval) return false;
-    if (last_sample_nanos_.compare_exchange_weak(last, now_nanos,
-                                                 std::memory_order_relaxed)) {
-      break;  // this caller owns the slot
-    }
-    // `last` was refreshed by the failed CAS; re-check the interval.
-  }
-  SampleNow(now_nanos);
-  return true;
 }
 
 const TimeSeriesRing* TimeSeries::Find(std::string_view series_name) const {

@@ -1,12 +1,10 @@
 // Time-series rings over registry metrics: fixed-capacity (timestamp,
 // value) rings snapshotting selected counters / gauges / histogram
-// quantiles at a configurable cadence, so /metrics and the CLI can report
-// *rates* (rows/s, bytes/s, cache hit rate over the last N seconds)
-// instead of lifetime totals. No thread of its own samples: the
-// ResourceSampler probe and each stats-server scrape call MaybeSample, and
-// the CLI's metrics printer calls SampleNow. MaybeSample is cheap,
-// idempotent within an interval, and safe to call from several threads —
-// exactly one caller wins each slot.
+// quantiles, so /metrics and the CLI can report *rates* (rows/s, bytes/s,
+// cache hit rate over the last N seconds) instead of lifetime totals. The
+// rings' consumers sample them with SampleNow from a ticker task
+// (pipeline/ticker.h): the stats server every interval_nanos(), and the
+// CLI's --metrics-interval-ms printer at its own period.
 #ifndef SCANRAW_OBS_TIMESERIES_H_
 #define SCANRAW_OBS_TIMESERIES_H_
 
@@ -61,14 +59,6 @@ class TimeSeriesRing {
   uint64_t next_ GUARDED_BY(mu_) = 0;
 };
 
-struct TimeSeriesOptions {
-  // Points retained per tracked series.
-  size_t ring_capacity = 512;
-  // Default sampling cadence for MaybeSample. Callers may override at
-  // runtime via set_interval_nanos (the CLI flag does).
-  int64_t interval_nanos = 1'000'000'000;  // 1 s
-};
-
 // A named collection of rings, each tracking one registry metric. Tracked
 // metrics are resolved once (stable registry pointers) and then read with
 // relaxed loads on every sample.
@@ -89,8 +79,6 @@ class TimeSeries {
     size_t points = 0;
   };
 
-  explicit TimeSeries(TimeSeriesOptions options = TimeSeriesOptions());
-
   // Begin tracking a registry metric under `series_name` (defaults to the
   // metric name). Idempotent per series name. Thread-safe.
   void TrackCounter(MetricsRegistry* registry, std::string_view metric,
@@ -106,13 +94,8 @@ class TimeSeries {
   // first bumped (registration creates them at zero).
   void TrackPipelineDefaults(MetricsRegistry* registry) EXCLUDES(mu_);
 
-  // Sample every tracked series at `now_nanos`, unconditionally.
+  // Sample every tracked series at `now_nanos`.
   void SampleNow(int64_t now_nanos) EXCLUDES(mu_);
-
-  // Sample iff a full interval elapsed since the last sample. Returns true
-  // when this call took the sample. Lock-free claim: concurrent callers
-  // race on a CAS and exactly one wins the slot.
-  bool MaybeSample(int64_t now_nanos) EXCLUDES(mu_);
 
   // Ring lookup by series name; nullptr when not tracked. The pointer stays
   // valid for the TimeSeries' lifetime.
@@ -125,6 +108,8 @@ class TimeSeries {
   // False when either series is missing or no lookups landed in the window.
   bool CacheHitRate(int64_t window_nanos, double* rate) const EXCLUDES(mu_);
 
+  // The stats server's sampling period, read when it starts: 1 s unless
+  // set (the CLI's --timeseries-interval-ms); 0 = no sampling.
   int64_t interval_nanos() const {
     return interval_nanos_.load(std::memory_order_relaxed);
   }
@@ -149,9 +134,8 @@ class TimeSeries {
   void Track(Series series) EXCLUDES(mu_);
   double ReadSource(const Series& s) const;
 
-  const size_t ring_capacity_;
-  std::atomic<int64_t> interval_nanos_;
-  std::atomic<int64_t> last_sample_nanos_{0};
+  static constexpr size_t kRingCapacity = 512;  // points per series
+  std::atomic<int64_t> interval_nanos_{1'000'000'000};
 
   mutable Mutex mu_{LockRank::kTimeSeries, "TimeSeries.mu"};
   std::vector<std::unique_ptr<Series>> series_ GUARDED_BY(mu_);

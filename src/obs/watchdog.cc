@@ -1,5 +1,6 @@
 #include "obs/watchdog.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -15,48 +16,18 @@ constexpr size_t kMaxRetainedReports = 64;
 }  // namespace
 
 Watchdog::Watchdog(StageHeartbeats* heartbeats, WatchdogOptions options)
-    : heartbeats_(heartbeats),
-      options_(std::move(options)),
-      check_interval_ms_(options_.check_interval_ms > 0
-                             ? options_.check_interval_ms
-                             : (options_.window_ms > 4 ? options_.window_ms / 4
-                                                       : 1)) {}
+    : heartbeats_(heartbeats), options_(std::move(options)) {}
 
 Watchdog::~Watchdog() { Stop(); }
 
 void Watchdog::Start() {
-  MutexLock lock(mu_);
-  if (running_) return;
-  running_ = true;
-  stop_ = false;
-  // scanraw-lint: allow(thread-spawn) one stall watchdog per manager
-  thread_ = std::thread([this] { Loop(); });
+  if (check_) return;
+  check_ = Ticker::Shared().Every(
+      std::chrono::milliseconds(std::max<int64_t>(1, options_.window_ms / 4)),
+      [this] { CheckNow(); });
 }
 
-void Watchdog::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    stop_ = true;
-    cv_.NotifyAll();
-  }
-  thread_.join();
-  MutexLock lock(mu_);
-  running_ = false;
-}
-
-void Watchdog::Loop() {
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      if (!stop_) {
-        cv_.WaitFor(lock, std::chrono::milliseconds(check_interval_ms_));
-      }
-      if (stop_) return;
-    }
-    CheckNow();
-  }
-}
+void Watchdog::Stop() { check_.Cancel(); }
 
 void Watchdog::CheckNow() {
   const int64_t now = options_.clock->NowNanos();

@@ -1,33 +1,33 @@
-// Stall watchdog: turns silent hangs into diagnosable events. A background
-// thread samples the StageHeartbeats board every check interval; a stage
-// that has threads inside it (active > 0) whose beat counter stops moving
-// for a whole window is declared stalled — the watchdog logs a structured
-// report, dumps the flight recorder (so the post-mortem shows what every
-// thread was last doing), and optionally aborts the process. Progress
-// resets the episode; a stage only re-alarms after it has moved again and
-// stalled again, so one wedged query produces one report, not one per tick.
+// Stall watchdog: turns silent hangs into diagnosable events. A task on the
+// process's ticker (pipeline/ticker.h) samples the StageHeartbeats board
+// every window / 4 (at least 1 ms); a stage that has threads inside it
+// (active > 0) whose beat counter stops moving for a whole window is
+// declared stalled — the watchdog logs a structured report, dumps the
+// flight recorder (so the post-mortem shows what every thread was last
+// doing), and optionally aborts the process. Progress resets the episode;
+// a stage only re-alarms after it has moved again and stalled again, so
+// one wedged query produces one report, not one per tick.
 #ifndef SCANRAW_OBS_WATCHDOG_H_
 #define SCANRAW_OBS_WATCHDOG_H_
 
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/thread_annotations.h"
 #include "obs/heartbeat.h"
+#include "pipeline/ticker.h"
 
 namespace scanraw {
 namespace obs {
 
 struct WatchdogOptions {
-  // No-progress window before a stage is declared stalled.
+  // No-progress window before a stage is declared stalled. The heartbeats
+  // are checked every window / 4, so the alarm comes well under 2x the
+  // window even when the stall starts right after a check.
   int64_t window_ms = 5000;
-  // Heartbeat sampling cadence; 0 = window / 4 (alarm latency stays well
-  // under 2x the window even when the stall starts right after a check).
-  int64_t check_interval_ms = 0;
   // Crash-style abort after reporting. Off by default: a resident server
   // wants the report and the dump, not a restart loop.
   bool abort_on_stall = false;
@@ -57,11 +57,13 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  void Start() EXCLUDES(mu_);
-  void Stop() EXCLUDES(mu_);  // idempotent; the destructor calls it
+  // Registers CheckNow on the shared ticker; Stop cancels it (idempotent;
+  // the destructor calls it). Both belong to the owner's thread.
+  void Start();
+  void Stop();
 
   // One sampling pass, callable directly (tests drive it with a
-  // VirtualClock; the background thread calls it every check interval).
+  // VirtualClock; the ticker calls it every check interval).
   void CheckNow() EXCLUDES(mu_);
 
   uint64_t stalls_detected() const {
@@ -72,20 +74,15 @@ class Watchdog {
   int64_t window_ms() const { return options_.window_ms; }
 
  private:
-  void Loop() EXCLUDES(mu_);
   void ReportStall(const StallReport& report) REQUIRES(mu_);
 
   StageHeartbeats* const heartbeats_;
   const WatchdogOptions options_;
-  const int64_t check_interval_ms_;
 
   std::atomic<uint64_t> stalls_{0};
+  Ticker::Handle check_;  // set between Start and Stop
 
   mutable Mutex mu_{LockRank::kWatchdog, "Watchdog.mu"};
-  CondVar cv_;
-  std::thread thread_;
-  bool running_ GUARDED_BY(mu_) = false;
-  bool stop_ GUARDED_BY(mu_) = false;
 
   struct StageState {
     uint64_t last_beats = 0;

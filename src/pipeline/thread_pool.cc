@@ -5,28 +5,49 @@
 #include <algorithm>
 #include <atomic>
 
+#include "pipeline/ticker.h"
+
 namespace scanraw {
 
 namespace {
 
-// The shared pool and the process that created it. Never destroyed: its
-// workers live as long as the process, and an instance inherited across
-// fork() has no threads left to join.
-struct SharedPool {
-  explicit SharedPool(SharedPool* parent)
+// The shared pool and ticker and the process that created them. Never
+// destroyed: their threads live as long as the process, and an instance
+// inherited across fork() has no threads left to join.
+struct ProcessShared {
+  explicit ProcessShared(ProcessShared* parent)
       : pool(std::max(1u, std::thread::hardware_concurrency())),
         pid(getpid()),
         inherited(parent) {}
   ThreadPool pool;
+  Ticker ticker;
   const pid_t pid;
   // The parent process's instance, kept reachable so a forked child's leak
   // checker does not report it.
-  SharedPool* const inherited;
+  ProcessShared* const inherited;
 };
 
-std::atomic<SharedPool*> g_shared_pool{nullptr};
+std::atomic<ProcessShared*> g_shared{nullptr};
+
+ProcessShared& Current() {
+  ProcessShared* current = g_shared.load(std::memory_order_acquire);
+  const pid_t pid = getpid();
+  while (current == nullptr || current->pid != pid) {
+    auto* fresh = new ProcessShared(current);
+    if (g_shared.compare_exchange_strong(current, fresh,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      return *fresh;
+    }
+    delete fresh;  // lost the race: `current` now holds the winner
+  }
+  return *current;
+}
 
 }  // namespace
+
+ThreadPool& ThreadPool::Shared() { return Current().pool; }
+Ticker& Ticker::Shared() { return Current().ticker; }
 
 ThreadPool::ThreadPool(size_t num_workers) {
   threads_.reserve(num_workers);
@@ -43,21 +64,6 @@ ThreadPool::~ThreadPool() {
     work_available_.NotifyAll();
   }
   for (auto& t : threads_) t.join();
-}
-
-ThreadPool& ThreadPool::Shared() {
-  SharedPool* current = g_shared_pool.load(std::memory_order_acquire);
-  const pid_t pid = getpid();
-  while (current == nullptr || current->pid != pid) {
-    auto* fresh = new SharedPool(current);
-    if (g_shared_pool.compare_exchange_strong(current, fresh,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-      return fresh->pool;
-    }
-    delete fresh;  // lost the race: `current` now holds the winner
-  }
-  return current->pool;
 }
 
 void ThreadPool::Submit(std::function<void()> task) {

@@ -152,23 +152,17 @@ struct ScanRawOptions {
   // sink across managers or to a standalone obs::Telemetry in tests.
   obs::Telemetry* telemetry = nullptr;
 
-  // Period of the §3.3 resource-advice sampler thread attached to each
-  // query (0 disables the thread). Requires `telemetry`. The sampler always
-  // records one sample at query start and one at query end, so short
-  // queries still leave a series.
+  // Period of the §3.3 resource-advice sample each running query takes on
+  // the process's ticker (pipeline/ticker.h); 0 = none. Requires
+  // `telemetry`. A query also takes one sample when it starts and one when
+  // it ends, so short queries still leave a series.
   int resource_sample_interval_ms = 0;
 
-  // Cadence of the telemetry time-series rings feeding the /metrics rate
-  // gauges (rows/s, bytes/s, cache hit rate). There is no dedicated sampler
-  // thread: the resource-sampler probe, each /metrics scrape and the CLI's
-  // --metrics-interval-ms printer take a sample. 0 leaves the telemetry
-  // sink's default (1 s); negative disables sampling. Requires `telemetry`.
-  int timeseries_interval_ms = 0;
-
-  // Live progress: when set, each query runs a reporter thread that invokes
-  // this callback every `progress_interval_ms` with bytes processed vs.
-  // total, chunks delivered/loaded, rolling throughput, and an ETA. Also
-  // fired once at query start and once at query end.
+  // Live progress: when set, each running query invokes this callback at
+  // start, every `progress_interval_ms` on the process's ticker and at its
+  // end, with bytes processed vs. total, chunks delivered/loaded, rolling
+  // throughput, and an ETA. It shares the ticker with the stall watchdog,
+  // so it must not block: print a line, or copy the report and return.
   std::function<void(const obs::QueryProgress&)> progress_callback;
   int progress_interval_ms = 200;
 

@@ -19,6 +19,7 @@
 #include "format/json_tokenizer.h"
 #include "format/tokenizer.h"
 #include "pipeline/thread_pool.h"
+#include "pipeline/ticker.h"
 #include "scanraw/raw_reader.h"
 
 namespace scanraw {
@@ -253,21 +254,7 @@ struct ScanRaw::QueryRun::Impl {
         map_dialect{topts.delimiter, topts.quoted, topts.quote},
         popts(MakeParseOptions()),
         invisible_budget(static_cast<int64_t>(
-            parent_op->options_.invisible_chunks_per_query)) {
-    obs::Telemetry* telemetry = parent->options_.telemetry;
-    if (telemetry != nullptr &&
-        parent->options_.resource_sample_interval_ms > 0) {
-      sampler = std::make_unique<obs::ResourceSampler>(
-          &telemetry->resources(), [this] { return ProbeResources(); },
-          std::chrono::milliseconds(
-              parent->options_.resource_sample_interval_ms));
-    }
-    if (parent->options_.progress_callback) {
-      reporter = std::make_unique<obs::ProgressReporter>(
-          &progress, parent->options_.progress_callback,
-          std::max(1, parent->options_.progress_interval_ms));
-    }
-  }
+            parent_op->options_.invisible_chunks_per_query)) {}
 
   // Must match TokenizeDialectFor: the dialect tag under which maps are
   // cached, persisted, and validated.
@@ -346,8 +333,26 @@ struct ScanRaw::QueryRun::Impl {
       spawn = SpawnLocked();
     }
     SubmitRunner(spawn);
-    if (sampler != nullptr) sampler->Start();
-    if (reporter != nullptr) reporter->Start();
+    // The first resource sample and progress report, then one per interval
+    // on the process's ticker until JoinAll takes the final ones.
+    const ScanRawOptions& options = parent->options_;
+    if (options.telemetry != nullptr &&
+        options.resource_sample_interval_ms > 0) {
+      SampleResources();
+      sample_tick = Ticker::Shared().Every(
+          std::chrono::milliseconds(options.resource_sample_interval_ms),
+          [this] { SampleResources(); });
+    }
+    if (options.progress_callback) {
+      ReportProgress();
+      progress_tick = Ticker::Shared().Every(
+          std::chrono::milliseconds(options.progress_interval_ms),
+          [this] { ReportProgress(); });
+    }
+  }
+
+  void ReportProgress() {
+    parent->options_.progress_callback(progress.Snapshot());
   }
 
   // Point-in-time utilization of the live pipeline (§3.3).
@@ -370,17 +375,13 @@ struct ScanRaw::QueryRun::Impl {
     return snapshot;
   }
 
-  // Sampler probe: one §3.3 resource-advice time-series entry, with the
-  // advice occurrence mirrored into the registry counters.
-  obs::ResourceSample ProbeResources() const {
+  // Appends one §3.3 resource-advice sample to the telemetry's resource
+  // log and mirrors the advice into the registry counters. Takes only
+  // in-memory locks below the I/O boundary, so it never blocks the ticker.
+  void SampleResources() const {
     const ResourceSnapshot snap = SnapshotResources();
     obs::ResourceSample sample;
     sample.ts_nanos = RealClock::Instance()->NowNanos();
-    // Piggyback the time-series rings on the probe cadence: while a query
-    // runs, this thread is the sampler; between queries, scrapes are.
-    if (parent->options_.telemetry != nullptr) {
-      parent->options_.telemetry->timeseries().MaybeSample(sample.ts_nanos);
-    }
     sample.advice = std::string(AdviceName(snap.advice));
     sample.text_buffer_size = snap.text_buffer_size;
     sample.text_buffer_capacity = snap.text_buffer_capacity;
@@ -399,7 +400,7 @@ struct ScanRaw::QueryRun::Impl {
     obs::Counter* advice_counter =
         parent->advice_counters_[static_cast<size_t>(snap.advice)];
     if (advice_counter != nullptr) advice_counter->Add(1);
-    return sample;
+    parent->options_.telemetry->resources().Append(std::move(sample));
   }
 
   // Latches the first error; no further step is claimed.
@@ -926,16 +927,22 @@ struct ScanRaw::QueryRun::Impl {
       clean = !abandoned && first_error.ok();
     }
     read_heartbeat.reset();
-    // A cleanly drained pipeline pins the tracker to 100% so the reporter's
-    // final callback always reports completion — even when totals were
-    // estimates (discovery scans) or rounding left the fraction short.
-    // Abandoned or failed runs skip the pin: their final callback reports
-    // honest partial progress.
+    // A cleanly drained pipeline pins the tracker to 100% so the final
+    // report always reads completion — even when totals were estimates
+    // (discovery scans) or rounding left the fraction short. Abandoned or
+    // failed runs skip the pin: their final report shows honest partial
+    // progress.
     if (clean) progress.MarkComplete();
-    // Stop after the pipeline drains so the final sample reflects the
-    // settled end state.
-    if (sampler != nullptr) sampler->Stop();
-    if (reporter != nullptr) reporter->Stop();
+    // After the drain, so the final sample and report show the settled end
+    // state.
+    if (sample_tick) {
+      sample_tick.Cancel();
+      SampleResources();
+    }
+    if (progress_tick) {
+      progress_tick.Cancel();
+      ReportProgress();
+    }
   }
 
   void Abandon() {
@@ -978,12 +985,13 @@ struct ScanRaw::QueryRun::Impl {
   std::unique_ptr<RandomAccessFile> raw_file;
   std::optional<obs::StageHeartbeats::Scope> read_heartbeat;
 
-  std::unique_ptr<obs::ResourceSampler> sampler;
   // Query-scoped observability: every stage records spans here, and the
-  // progress tracker feeds the optional reporter thread.
+  // progress tracker feeds the optional progress reports.
   obs::SpanProfiler profiler;
   obs::ProgressTracker progress;
-  std::unique_ptr<obs::ProgressReporter> reporter;
+  // Registered by Start, cancelled by JoinAll.
+  Ticker::Handle sample_tick;
+  Ticker::Handle progress_tick;
   bool joined = false;
 
   mutable Mutex mu{LockRank::kScanInflight, "ScanRaw.query_mu"};
@@ -1087,13 +1095,6 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
     heartbeats_ = &options_.telemetry->heartbeats();
     if (arbiter_ != nullptr) arbiter_->BindHeartbeats(heartbeats_);
     options_.telemetry->timeseries().TrackPipelineDefaults(&registry);
-    if (options_.timeseries_interval_ms != 0) {
-      options_.telemetry->timeseries().set_interval_nanos(
-          options_.timeseries_interval_ms > 0
-              ? static_cast<int64_t>(options_.timeseries_interval_ms) *
-                    1'000'000
-              : 0);
-    }
   }
   // scanraw-lint: allow(thread-spawn) the operator's WRITE stage (§4)
   write_thread_ = std::thread([this] { WriteLoop(); });
@@ -1282,10 +1283,22 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
 void ScanRaw::LogQuery(const QuerySpec& spec, const Status& status,
                        double wall_seconds, const obs::ExplainReport* report,
                        const QueryResult* result, uint64_t bytes_read) {
-  if (options_.query_log == nullptr) return;
+  LogQueryEvent(options_.query_log, table_,
+                std::string(LoadPolicyName(options_.policy)),
+                options_.advisor != nullptr &&
+                    options_.policy == LoadPolicy::kSpeculativeLoading,
+                spec, status, wall_seconds, report, result, bytes_read);
+}
+
+void LogQueryEvent(obs::QueryLog* log, std::string table, std::string policy,
+                   bool advisor_used, const QuerySpec& spec,
+                   const Status& status, double wall_seconds,
+                   const obs::ExplainReport* report, const QueryResult* result,
+                   uint64_t bytes_read) {
+  if (log == nullptr) return;
   obs::QueryLogEvent event;
-  event.table = table_;
-  event.policy = std::string(LoadPolicyName(options_.policy));
+  event.table = std::move(table);
+  event.policy = std::move(policy);
   if (!status.ok()) event.status = status.ToString();
   event.wall_seconds = wall_seconds;
   event.columns = spec.RequiredColumns();
@@ -1295,8 +1308,7 @@ void ScanRaw::LogQuery(const QuerySpec& spec, const Status& status,
   if (spec.predicate.pattern.has_value()) {
     event.predicate_columns.push_back(spec.predicate.pattern->column);
   }
-  event.advisor_used = options_.advisor != nullptr &&
-                       options_.policy == LoadPolicy::kSpeculativeLoading;
+  event.advisor_used = advisor_used;
   if (report != nullptr) {
     event.rows_scanned = result->rows_scanned;
     event.rows_matched = result->rows_matched;
@@ -1318,7 +1330,7 @@ void ScanRaw::LogQuery(const QuerySpec& spec, const Status& status,
         report->HitRate(report->posmap_hits, report->posmap_misses);
     event.speculation_paid_off = report->speculation_paid_off;
   }
-  const Status append = options_.query_log->Append(std::move(event));
+  const Status append = log->Append(std::move(event));
   if (!append.ok()) {
     // The log is advisory: a failed append never fails the query.
     LOG_WARN("scanraw: query log append failed: %s",

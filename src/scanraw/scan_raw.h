@@ -348,10 +348,8 @@ class ScanRaw {
   // End-of-scan safeguard (§4): queue every unloaded cached chunk.
   void SafeguardFlush();
 
-  // Appends one executed query's event to options_.query_log (no-op when
-  // unset), built from the query's EXPLAIN report. A failed query (null
-  // `report` and `result`) logs only its spec, policy, wall time and error,
-  // so it still advances the history's recency clock.
+  // LogQueryEvent into options_.query_log under this operator's table,
+  // policy and advisor use.
   void LogQuery(const QuerySpec& spec, const Status& status,
                 double wall_seconds, const obs::ExplainReport* report,
                 const QueryResult* result, uint64_t bytes_read);
@@ -407,6 +405,19 @@ class ScanRaw {
   // background write (graceful degradation; 0 = no backoff active).
   std::atomic<int64_t> write_backoff_until_nanos_{0};
 };
+
+// Appends one query's event to `log` (no-op when null). A query that ran
+// (`report` and `result` set) logs its rows, stage times, chunk provenance
+// and payoff from its EXPLAIN report; a failed one (both null) logs only its
+// spec, policy, wall time and error, so it still advances the history's
+// recency clock. A failed append is logged, never returned: the log is
+// advisory. Live operators and the manager's retired heap scan both log
+// through it.
+void LogQueryEvent(obs::QueryLog* log, std::string table, std::string policy,
+                   bool advisor_used, const QuerySpec& spec,
+                   const Status& status, double wall_seconds,
+                   const obs::ExplainReport* report, const QueryResult* result,
+                   uint64_t bytes_read);
 
 }  // namespace scanraw
 

@@ -1,5 +1,6 @@
 #include "scanraw/scanraw_manager.h"
 
+#include "common/clock.h"
 #include "common/string_util.h"
 #include "io/fault_injection.h"
 #include "io/file.h"
@@ -242,8 +243,11 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
   if (!meta.ok()) return meta.status();
 
   ScanRaw* op = nullptr;
+  obs::QueryLog* query_log = nullptr;  // the retired heap scan's log
   {
     MutexLock lock(mu_);
+    auto opt_it = options_.find(table);
+    if (opt_it != options_.end()) query_log = opt_it->second.query_log;
     auto it = operators_.find(table);
     if (it != operators_.end()) {
       // Retire the operator once the whole raw file is in the database and
@@ -256,7 +260,6 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
         op = it->second.get();
       }
     } else if (!meta->FullyLoaded()) {
-      auto opt_it = options_.find(table);
       if (opt_it == options_.end()) {
         return Status::Internal("no ScanRaw options for table " + table);
       }
@@ -304,26 +307,40 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
 
   if (op != nullptr) return op->ExecuteQuery(spec, explain);
 
-  // Fully loaded: plain database processing through the heap scan.
+  // Fully loaded: plain database processing through the heap scan. Like
+  // ExecuteQuery, it fills a report for EXPLAIN or for the query log.
+  static constexpr char kPolicy[] = "heap-scan (retired)";
+  obs::ExplainReport local_report;
+  obs::ExplainReport* report =
+      explain != nullptr ? explain
+                         : (query_log != nullptr ? &local_report : nullptr);
+  const double start = RealClock::Instance()->NowSeconds();
   obs::SpanProfiler profiler;
+  obs::SpanProfiler* spans = report != nullptr ? &profiler : nullptr;
   HeapScanStream stream(*meta, storage_.get(), spec.RequiredColumns(),
-                        spec.predicate.range,
-                        explain != nullptr ? &profiler : nullptr);
+                        spec.predicate.range, spans);
   stream.scan().BindMetrics(
       telemetry_.metrics().GetCounter("heapscan.chunks_scanned"),
       telemetry_.metrics().GetCounter("heapscan.chunks_skipped"));
-  auto result = RunQuery(spec, &stream,
-                         explain != nullptr ? &profiler : nullptr);
-  if (explain != nullptr && result.ok()) {
+  auto result = RunQuery(spec, &stream, spans);
+  if (!result.ok()) {
+    LogQueryEvent(query_log, table, kPolicy, /*advisor_used=*/false, spec,
+                  result.status(), RealClock::Instance()->NowSeconds() - start,
+                  nullptr, nullptr, 0);
+    return result;
+  }
+  if (report != nullptr) {
     profiler.End();
-    explain->table = table;
-    explain->policy = "heap-scan (retired)";
-    explain->workers = 1;
-    explain->FillFromProfile(profiler.Aggregate());
-    explain->chunks_from_db = stream.scan().chunks_scanned();
-    explain->chunks_skipped = stream.scan().chunks_skipped();
-    explain->loaded_fraction_before = 1.0;
-    explain->loaded_fraction_after = 1.0;
+    report->table = table;
+    report->policy = kPolicy;
+    report->workers = 1;
+    report->FillFromProfile(profiler.Aggregate());
+    report->chunks_from_db = stream.scan().chunks_scanned();
+    report->chunks_skipped = stream.scan().chunks_skipped();
+    report->loaded_fraction_before = 1.0;
+    report->loaded_fraction_after = 1.0;
+    LogQueryEvent(query_log, table, kPolicy, /*advisor_used=*/false, spec,
+                  Status::OK(), report->wall_seconds, report, &*result, 0);
   }
   return result;
 }

@@ -63,7 +63,7 @@ class ScanRawManager {
     bool verify_segments_on_load = true;
     // Stall watchdog over the shared heartbeat board: a pipeline stage that
     // is active but makes no progress for this long produces a structured
-    // report and a flight-recorder dump. 0 disables the watchdog thread.
+    // report and a flight-recorder dump. 0 disables the watchdog.
     int64_t watchdog_ms = 0;
     // Abort the process after reporting a stall (CI wants the core; a
     // resident server wants the report only).
@@ -152,7 +152,7 @@ class ScanRawManager {
   DiskArbiter arbiter_;
   IoStats io_stats_;
   std::unique_ptr<StorageManager> storage_;
-  // Owns the stall-detector thread; started at Create, stopped on destroy.
+  // The stall detector's ticker task; started at Create, stopped on destroy.
   // Declared after telemetry_ (it watches telemetry_'s heartbeat board).
   std::unique_ptr<obs::Watchdog> watchdog_;
 

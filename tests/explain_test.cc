@@ -265,17 +265,6 @@ TEST(ProgressTrackerTest, RollingWindowFollowsPhaseChange) {
   EXPECT_NEAR(progress.throughput_bps, 10.0, 1.0);
 }
 
-TEST(ProgressReporterTest, EmitsFirstAndFinalReports) {
-  ProgressTracker tracker;
-  int calls = 0;
-  ProgressReporter reporter(
-      &tracker, [&](const QueryProgress&) { ++calls; },
-      /*interval_ms=*/10'000);  // interval far longer than the test
-  reporter.Start();
-  reporter.Stop();
-  EXPECT_EQ(calls, 2);  // one at Start, one at Stop
-}
-
 // ------------------------------------------------------------ bench gate
 
 constexpr char kBaselineJson[] =

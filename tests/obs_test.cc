@@ -1,11 +1,9 @@
 // Tests for the obs/ building blocks in isolation: counters, gauges,
 // log-bucketed histograms (quantiles, reset, JSON), the resource log, the
-// sampler thread, and per-thread ids.
+// progress tracker, and per-thread ids.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <limits>
 #include <string>
 #include <thread>
@@ -231,38 +229,6 @@ TEST(ResourceLogTest, JsonIsArrayWithAdvice) {
   EXPECT_NE(json.find("\"io-bound\""), std::string::npos);
 }
 
-TEST(ResourceSamplerTest, TakesStartAndStopSamples) {
-  ResourceLog log(64);
-  std::atomic<int> probes{0};
-  ResourceSampler sampler(
-      &log,
-      [&probes] {
-        probes.fetch_add(1);
-        return ResourceSample();
-      },
-      std::chrono::milliseconds(1000));  // interval longer than the test
-  sampler.Start();
-  EXPECT_TRUE(sampler.running());
-  sampler.Stop();
-  EXPECT_FALSE(sampler.running());
-  // One immediate sample on Start, one final on Stop.
-  EXPECT_GE(probes.load(), 2);
-  EXPECT_GE(log.size(), 2u);
-  sampler.Stop();  // idempotent
-}
-
-TEST(ResourceSamplerTest, PeriodicSampling) {
-  ResourceLog log(1024);
-  ResourceSampler sampler(
-      &log, [] { return ResourceSample(); }, std::chrono::milliseconds(1));
-  sampler.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  sampler.Stop();
-  // 30ms at a 1ms period: demand well below the theoretical 30 to keep the
-  // test robust on loaded machines.
-  EXPECT_GE(log.size(), 5u);
-}
-
 TEST(TelemetryTest, CombinedJsonExport) {
   Telemetry telemetry;
   telemetry.metrics().GetCounter("a")->Add(1);
@@ -344,66 +310,7 @@ TEST(ProgressTrackerTest, MarkCompleteCoversUnknownTotals) {
   QueryProgress p = tracker.Snapshot();
   EXPECT_TRUE(p.complete);
   EXPECT_DOUBLE_EQ(p.fraction, 1.0);
-}
-
-TEST(ProgressReporterTest, FinalCallbackReportsCompletion) {
-  ProgressTracker tracker(/*bytes_total=*/100);
-  tracker.AddBytes(100);
-  Mutex mu;
-  std::vector<QueryProgress> reports;
-  ProgressReporter reporter(
-      &tracker,
-      [&](const QueryProgress& p) {
-        MutexLock lock(mu);
-        reports.push_back(p);
-      },
-      /*interval_ms=*/1000);
-  reporter.Start();
-  tracker.MarkComplete();  // what the pipeline does after a clean drain
-  reporter.Stop();
-  MutexLock lock(mu);
-  ASSERT_GE(reports.size(), 2u);  // one on Start, one final on Stop
-  EXPECT_TRUE(reports.back().complete);
-  EXPECT_DOUBLE_EQ(reports.back().fraction, 1.0);
-}
-
-TEST(ResourceSamplerTest, StopWithoutStartStillRecordsFinalProbe) {
-  ResourceLog log(16);
-  std::atomic<int> probes{0};
-  ResourceSampler sampler(
-      &log,
-      [&probes] {
-        probes.fetch_add(1);
-        return ResourceSample();
-      },
-      std::chrono::milliseconds(1000));
-  // A query can finish before its sampler is ever started; the series must
-  // still get its one settled-end-state sample.
-  sampler.Stop();
-  EXPECT_EQ(probes.load(), 1);
-  EXPECT_EQ(log.size(), 1u);
-  sampler.Stop();  // the final probe is exactly-once
-  EXPECT_EQ(probes.load(), 1);
-  EXPECT_EQ(log.size(), 1u);
-}
-
-TEST(ResourceSamplerTest, FinalProbeIsExactlyOnceAcrossStops) {
-  ResourceLog log(16);
-  std::atomic<int> probes{0};
-  ResourceSampler sampler(
-      &log,
-      [&probes] {
-        probes.fetch_add(1);
-        return ResourceSample();
-      },
-      std::chrono::milliseconds(1000));
-  sampler.Start();
-  sampler.Stop();
-  const int after_first_stop = probes.load();
-  EXPECT_EQ(after_first_stop, 2);  // start sample + final sample
-  sampler.Stop();
-  sampler.Stop();
-  EXPECT_EQ(probes.load(), after_first_stop);
+  EXPECT_EQ(p.ToLine().rfind("100.0%", 0), 0u) << p.ToLine();
 }
 
 TEST(CurrentThreadIdTest, DistinctPerThreadStableWithin) {

@@ -752,6 +752,25 @@ class LintTest(unittest.TestCase):
         code, out = self.lint("src/io/foo.cc")
         self.assertEqual(code, 0, out)
 
+    def test_real_src_has_exactly_four_thread_spawn_sites(self):
+        # Pool workers, the WRITE stage, the stats server's accept loop and
+        # the ticker. Periodic work goes on Ticker::Shared(), not a thread.
+        src = os.path.join(os.path.dirname(LINT), os.pardir, "src")
+        sites = []
+        for root, _, names in os.walk(src):
+            for name in sorted(names):
+                with open(os.path.join(root, name), encoding="utf-8") as f:
+                    for line in f:
+                        if "scanraw-lint: allow(thread-spawn)" in line:
+                            sites.append(os.path.relpath(
+                                os.path.join(root, name), src))
+        self.assertEqual(sorted(sites), [
+            "obs/stats_server.cc",
+            "pipeline/thread_pool.cc",
+            "pipeline/ticker.cc",
+            "scanraw/scan_raw.cc",
+        ])
+
     def test_thread_spawn_in_test_file_passes(self):
         self.write("src/io/foo_test.cc",
                    "void F() {\n  std::thread t([] {});\n  t.join();\n}\n")

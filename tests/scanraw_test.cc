@@ -421,13 +421,26 @@ size_t CountThreads() {
   return n;
 }
 
-// Cache hits are handed out on the caller's thread and the worker pool is
-// process-wide, so a cached query starts no thread at all.
+// Cache hits are handed out on the caller's thread, the worker pool is
+// process-wide, and a query's periodic progress report and resource sample
+// run on the process's one ticker, so a cached query starts no thread at
+// all: not in the pipeline, and not for its first progress report either.
 TEST_F(ScanRawTest, CachedQueriesStartNoThreads) {
   auto options = BaseOptions(LoadPolicy::kExternalTables);
   options.cache_capacity_chunks = 16;  // whole file fits
+  options.resource_sample_interval_ms = 1;
+  options.progress_interval_ms = 1;
+  // Thread count inside every report once the baseline is taken; 0 before.
+  std::atomic<bool> measuring{false};
+  std::atomic<size_t> peak_in_report{0};
+  options.progress_callback = [&](const obs::QueryProgress&) {
+    if (!measuring.load()) return;
+    const size_t n = CountThreads();
+    if (n > peak_in_report.load()) peak_in_report = n;
+  };
   auto manager = MakeManager(options);
-  ASSERT_TRUE(manager->Query("t", SumAllQuery()).ok());  // fills the cache
+  // Fills the cache, and starts the ticker with the query's first tasks.
+  ASSERT_TRUE(manager->Query("t", SumAllQuery()).ok());
 
   // The poller runs before the baseline is taken, so it counts itself.
   std::atomic<bool> polling{false};
@@ -442,6 +455,7 @@ TEST_F(ScanRawTest, CachedQueriesStartNoThreads) {
   });
   while (!polling.load()) std::this_thread::yield();
   const size_t baseline = CountThreads();
+  measuring = true;
   int wrong = 0;
   for (int q = 0; q < 100; ++q) {
     auto result = manager->Query("t", SumAllQuery());
@@ -451,6 +465,8 @@ TEST_F(ScanRawTest, CachedQueriesStartNoThreads) {
   poller.join();
   EXPECT_EQ(wrong, 0);
   EXPECT_LE(peak.load(), baseline);
+  EXPECT_GT(peak_in_report.load(), 0u);
+  EXPECT_LE(peak_in_report.load(), baseline);
 }
 
 // Two managers queried at once from two client threads share one pool and

@@ -6,12 +6,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "datagen/csv_generator.h"
 #include "obs/log.h"
 #include "obs/stats_server.h"
@@ -215,6 +217,32 @@ TEST(StatsServerTest, ServesHttpRoutesAndRejectsJunk) {
   server.Stop();  // idempotent
 }
 
+// The server samples the rate rings on its own ticker task: with no scrape
+// at all, the rings fill at the telemetry's interval and yield a rate.
+TEST(StatsServerTest, SamplesRingsWithoutScrapes) {
+  Telemetry telemetry;
+  telemetry.timeseries().TrackPipelineDefaults(&telemetry.metrics());
+  telemetry.timeseries().set_interval_nanos(2'000'000);  // 2 ms
+  Counter* rows = telemetry.metrics().GetCounter("scanraw.rows_delivered");
+  const TimeSeriesRing* ring =
+      telemetry.timeseries().Find("scanraw.rows_delivered");
+  ASSERT_NE(ring, nullptr);
+  StatsServerOptions options;
+  options.telemetry = &telemetry;
+  StatsServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const int64_t deadline =
+      RealClock::Instance()->NowNanos() + 2'000'000'000;  // 2 s
+  while (ring->size() < 5 && RealClock::Instance()->NowNanos() < deadline) {
+    rows->Add(1000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.Stop();
+  EXPECT_EQ(server.requests_served(), 0u);
+  EXPECT_GE(ring->size(), 5u);
+  EXPECT_GT(ring->RatePerSecond(10'000'000'000), 0.0);
+}
+
 // Concurrent scrapes while a real scan runs: every response is a complete,
 // well-formed exposition and the scan's result is unaffected.
 TEST(StatsServerTest, ConcurrentScrapesDuringLiveScan) {
@@ -235,7 +263,7 @@ TEST(StatsServerTest, ConcurrentScrapesDuringLiveScan) {
   scan_options.policy = LoadPolicy::kSpeculativeLoading;
   scan_options.num_workers = 2;
   scan_options.chunk_rows = 1000;
-  scan_options.timeseries_interval_ms = 1;
+  (*manager)->telemetry()->timeseries().set_interval_nanos(1'000'000);
   ASSERT_TRUE((*manager)
                   ->RegisterRawFile("t", csv_path, CsvSchema(spec),
                                     scan_options)

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -142,47 +141,14 @@ TEST(TimeSeriesTest, GaugeAndQuantileAreLevels) {
   }
 }
 
-TEST(TimeSeriesTest, MaybeSampleHonorsInterval) {
-  MetricsRegistry registry;
-  TimeSeriesOptions options;
-  options.interval_nanos = kSecond;
-  TimeSeries ts(options);
-  ts.TrackCounter(&registry, "c");
-  EXPECT_TRUE(ts.MaybeSample(kSecond));
-  EXPECT_FALSE(ts.MaybeSample(kSecond + kSecond / 2));  // half interval
-  EXPECT_TRUE(ts.MaybeSample(2 * kSecond));
-  EXPECT_EQ(ts.Find("c")->size(), 2u);
-}
-
-TEST(TimeSeriesTest, MaybeSampleDisabledByZeroInterval) {
-  MetricsRegistry registry;
+TEST(TimeSeriesTest, IntervalDefaultsToOneSecondAndClampsToOff) {
   TimeSeries ts;
-  ts.TrackCounter(&registry, "c");
+  EXPECT_EQ(ts.interval_nanos(), kSecond);
   ts.set_interval_nanos(0);
-  EXPECT_FALSE(ts.MaybeSample(kSecond));
-  EXPECT_FALSE(ts.MaybeSample(100 * kSecond));
-  EXPECT_EQ(ts.Find("c")->size(), 0u);
-  // Negative intervals clamp to disabled rather than going backwards.
+  EXPECT_EQ(ts.interval_nanos(), 0);
+  // Negative intervals clamp to off rather than going backwards.
   ts.set_interval_nanos(-5);
   EXPECT_EQ(ts.interval_nanos(), 0);
-}
-
-TEST(TimeSeriesTest, ConcurrentMaybeSampleOneWinnerPerSlot) {
-  MetricsRegistry registry;
-  TimeSeriesOptions options;
-  options.interval_nanos = kSecond;
-  TimeSeries ts(options);
-  ts.TrackCounter(&registry, "c");
-  std::atomic<int> wins{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      if (ts.MaybeSample(5 * kSecond)) wins.fetch_add(1);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(wins.load(), 1);
-  EXPECT_EQ(ts.Find("c")->size(), 1u);
 }
 
 TEST(TimeSeriesTest, TrackPipelineDefaultsRegistersStandardSet) {

@@ -277,6 +277,53 @@ class WorkloadReplayTest : public testing::Test {
   CsvFileInfo info_;
 };
 
+// Once a full load retires the operator, queries run on the manager's heap
+// scan, and each still appends its event to the query log.
+TEST_F(WorkloadReplayTest, RetiredHeapScanQueriesReachTheLog) {
+  const std::string log_path = TempPath(".jsonl");
+  ASSERT_TRUE(RemoveFileIfExists(log_path).ok());
+  ASSERT_TRUE(RemoveFileIfExists(log_path + ".1").ok());
+  ScanRawManager::Config config;
+  config.db_path = TempPath(".db");
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  auto log = QueryLog::Open(log_path);
+  ASSERT_TRUE(log.ok());
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kFullLoad;
+  options.query_log = log->get();
+  ASSERT_TRUE((*manager)
+                  ->RegisterRawFile("t", csv_path_, CsvSchema(spec_), options)
+                  .ok());
+  ASSERT_TRUE((*manager)->Query("t", FullQuery()).ok());  // loads every chunk
+  ASSERT_EQ((*log)->events_appended(), 1u);
+
+  const std::vector<std::vector<size_t>> columns = {{0}, {1, 3}, {0, 1, 2, 3}};
+  for (const auto& cols : columns) {
+    QuerySpec q;
+    q.sum_columns = cols;
+    auto result = (*manager)->Query("t", q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE((*manager)->IsRetired("t"));
+  }
+  EXPECT_EQ((*log)->events_appended(), 1 + columns.size());
+  ASSERT_TRUE((*log)->Close().ok());
+
+  auto events = QueryLog::ReadAll(log_path);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(events->size(), 1 + columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const QueryLogEvent& e = (*events)[1 + i];
+    EXPECT_EQ(e.table, "t");
+    EXPECT_EQ(e.policy, "heap-scan (retired)");
+    EXPECT_EQ(e.status, "ok");
+    EXPECT_EQ(e.columns, columns[i]);
+    EXPECT_EQ(e.rows_scanned, kRows);
+    EXPECT_EQ(e.rows_matched, kRows);
+    EXPECT_EQ(e.chunks_from_db, 6u);
+  }
+}
+
 TEST_F(WorkloadReplayTest, PersistedHistoryChangesLoadOrderNotResults) {
   const std::string log_path = TempPath(".jsonl");
   const std::string history_path = TempPath(".history");

@@ -101,7 +101,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -121,6 +120,7 @@
 #include "obs/query_log.h"
 #include "obs/telemetry.h"
 #include "obs/workload_history.h"
+#include "pipeline/ticker.h"
 #include "scanraw/scanraw_manager.h"
 #include "sql/sql_parser.h"
 
@@ -147,6 +147,7 @@ struct CliOptions {
   int64_t watchdog_ms = 0;
   bool watchdog_abort = false;
   int metrics_interval_ms = 0;  // 0 = no periodic snapshot printer
+  int64_t timeseries_interval_ms = -1;  // -1 = the telemetry's default
   bool fault_enabled = false;
   FaultPlan fault_plan;
   ScanRawOptions scan_options;
@@ -332,9 +333,7 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       SCANRAW_ASSIGN_OR_RETURN(v, next_value());
       auto n = ParseUint32(v);
       if (!n.ok()) return n.status();
-      // 0 disables sampling (the option encodes that as negative).
-      options.scan_options.timeseries_interval_ms =
-          *n == 0 ? -1 : static_cast<int>(*n);
+      options.timeseries_interval_ms = *n;  // 0 disables sampling
     } else if (arg == "--metrics-interval-ms") {
       std::string v;
       SCANRAW_ASSIGN_OR_RETURN(v, next_value());
@@ -438,63 +437,25 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
   return options;
 }
 
-// --metrics-interval-ms: a printer thread sampling the telemetry rate rings
-// and emitting one delta-aware throughput line (rows/s, bytes/s, cache hit
-// rate over the trailing window) per interval while statements run.
-class MetricsPrinter {
- public:
-  MetricsPrinter(obs::Telemetry* telemetry, int interval_ms)
-      : telemetry_(telemetry), interval_ms_(interval_ms) {
-    thread_ = std::thread([this] { Loop(); });
+// --metrics-interval-ms: samples the telemetry rate rings and prints one
+// delta-aware throughput line (rows/s, bytes/s, cache hit rate over the
+// trailing window) to stderr, like the progress line, so stdout stays query
+// results only. Runs as a ticker task every interval while statements run.
+void PrintRates(obs::Telemetry* telemetry, int64_t window_nanos) {
+  telemetry->timeseries().SampleNow(RealClock::Instance()->NowNanos());
+  std::string line = "rates:";
+  for (const obs::TimeSeries::RateRow& row :
+       telemetry->timeseries().Rates(window_nanos)) {
+    if (row.kind != obs::TimeSeries::Kind::kCounter) continue;
+    line += StringPrintf(" %s=%.1f/s", row.name.c_str(),
+                         row.rate_defined ? row.rate_per_sec : 0.0);
   }
-  ~MetricsPrinter() {
-    {
-      MutexLock lock(mu_);
-      stop_ = true;
-      cv_.NotifyAll();
-    }
-    if (thread_.joinable()) thread_.join();
+  double hit_rate = 0.0;
+  if (telemetry->timeseries().CacheHitRate(window_nanos, &hit_rate)) {
+    line += StringPrintf(" cache_hit_rate=%.2f", hit_rate);
   }
-  MetricsPrinter(const MetricsPrinter&) = delete;
-  MetricsPrinter& operator=(const MetricsPrinter&) = delete;
-
- private:
-  void Loop() {
-    // The window spans a few intervals so one slow sample does not zero the
-    // rates; deltas are computed inside the rings, not against a baseline.
-    const int64_t window_nanos =
-        static_cast<int64_t>(interval_ms_) * 4 * 1'000'000;
-    while (true) {
-      {
-        MutexLock lock(mu_);
-        if (stop_) return;
-        cv_.WaitFor(lock, std::chrono::milliseconds(interval_ms_));
-        if (stop_) return;
-      }
-      telemetry_->timeseries().SampleNow(RealClock::Instance()->NowNanos());
-      std::string line = "rates:";
-      for (const obs::TimeSeries::RateRow& row :
-           telemetry_->timeseries().Rates(window_nanos)) {
-        if (row.kind != obs::TimeSeries::Kind::kCounter) continue;
-        line += StringPrintf(" %s=%.1f/s", row.name.c_str(),
-                             row.rate_defined ? row.rate_per_sec : 0.0);
-      }
-      double hit_rate = 0.0;
-      if (telemetry_->timeseries().CacheHitRate(window_nanos, &hit_rate)) {
-        line += StringPrintf(" cache_hit_rate=%.2f", hit_rate);
-      }
-      // stderr, like the progress line, so stdout stays query results only.
-      std::fprintf(stderr, "%s\n", line.c_str());
-    }
-  }
-
-  obs::Telemetry* const telemetry_;
-  const int interval_ms_;
-  Mutex mu_;
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::thread thread_;
-};
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
 
 void PrintResult(const QueryResult& result, double seconds, bool has_avg) {
   if (!result.groups.empty()) {
@@ -746,6 +707,10 @@ int Run(int argc, char** argv) {
     }
   }
 
+  if (options->timeseries_interval_ms >= 0) {
+    (*manager)->telemetry()->timeseries().set_interval_nanos(
+        options->timeseries_interval_ms * 1'000'000);
+  }
   // Live introspection plane: HTTP /metrics, /statusz, /healthz. Declared
   // after the manager so the server (which reads its telemetry and statusz)
   // stops before the manager is destroyed.
@@ -768,10 +733,17 @@ int Run(int argc, char** argv) {
                 stats_server->port());
     std::fflush(stdout);
   }
-  std::unique_ptr<MetricsPrinter> metrics_printer;
+  Ticker::Handle metrics_printer;
   if (options->metrics_interval_ms > 0) {
-    metrics_printer = std::make_unique<MetricsPrinter>(
-        (*manager)->telemetry(), options->metrics_interval_ms);
+    // The window spans a few intervals so one late tick does not zero the
+    // rates; deltas are computed inside the rings, not against a baseline.
+    const int64_t window_nanos =
+        static_cast<int64_t>(options->metrics_interval_ms) * 4 * 1'000'000;
+    metrics_printer = Ticker::Shared().Every(
+        std::chrono::milliseconds(options->metrics_interval_ms),
+        [telemetry = (*manager)->telemetry(), window_nanos] {
+          PrintRates(telemetry, window_nanos);
+        });
   }
 
   auto execute = [&](const std::string& sql) -> bool {

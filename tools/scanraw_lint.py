@@ -55,12 +55,13 @@ condvar-wait-loop
                  predicate before the wait: a wait that runs first sleeps
                  out a whole interval when Stop() lands before it.
 thread-spawn     Starting a thread (std::thread / std::jthread construction,
-                 pthread_create, std::async) in src/ non-test code. Threads
-                 belong to the process-wide worker pool and a few long-lived
-                 services; every sanctioned site carries
-                 `// scanraw-lint: allow(thread-spawn) <reason>`, so a
-                 per-query thread cannot come back without review. The
-                 allow marker needs the reason.
+                 pthread_create, std::async) in src/ non-test code. Work
+                 runs on the process-wide worker pool, periodic work on
+                 Ticker::Shared() (one housekeeping thread for every tick),
+                 and a few long-lived services own threads; every sanctioned
+                 site carries `// scanraw-lint: allow(thread-spawn) <reason>`,
+                 so a per-query or per-timer thread cannot come back without
+                 review. The allow marker needs the reason.
 numeric-at       `NumericAt(` in src/exec/ non-test code. It is a per-value
                  type switch, reached per row through a std::map column
                  lookup; the engine resolves each column once per chunk and
@@ -482,7 +483,8 @@ def check_thread_spawn(rel, lines, findings):
             continue
         findings.append((rel, i + 1, "thread-spawn",
                          "thread started outside the sanctioned sites; run "
-                         "the work on ThreadPool::Shared(), or add "
+                         "the work on ThreadPool::Shared(), periodic work "
+                         "on Ticker::Shared(), or add "
                          "`// scanraw-lint: allow(thread-spawn) <reason>`"))
 
 
