@@ -2,7 +2,8 @@
 //
 //  1. A self-timed "golden" harness (always run, or alone with
 //     --golden-only) that times the vectorized TOKENIZE/PARSE hot path
-//     against the frozen scalar reference (bench/reference_scalar.h) and
+//     against the frozen scalar reference (bench/reference_scalar.h), and
+//     the dispatched page checksum against its portable table, and
 //     writes BENCH_micro_stages.json for the bench_compare CI gate. The
 //     main table holds only the new-path times (larger = worse, gated
 //     against bench/golden/); the scalar times and the speedup ratios ride
@@ -22,6 +23,7 @@
 #include "bench/bench_util.h"
 #include "bench/reference_scalar.h"
 #include "columnar/chunk_serde.h"
+#include "common/checksum.h"
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -173,6 +175,19 @@ int RunGolden() {
         }};
   };
 
+  // The checksum of every stored page and sidecar: the SSE4.2 path against
+  // the portable table, over a 1 MiB page (the row times 1 MiB, not a
+  // 4096-row chunk).
+  static const std::string page = [] {
+    Random rng(9);
+    std::string bytes(1u << 20, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.NextUint32());
+    return bytes;
+  }();
+  auto checksum_case = [](uint32_t (*crc)(std::string_view)) {
+    return [crc] { benchmark::DoNotOptimize(crc(page)); };
+  };
+
   std::vector<GoldenCase> cases;
   cases.push_back(tokenize_case(u32_16, 16, "tokenize/16"));
   cases.push_back(tokenize_case(u32_64, 64, "tokenize/64"));
@@ -180,6 +195,8 @@ int RunGolden() {
   cases.push_back(parse_case(u32_16, Schema::AllUint32(16), "parse_u32/16"));
   cases.push_back(parse_case(u32_64, Schema::AllUint32(64), "parse_u32/64"));
   cases.push_back(parse_case(dbl_16, AllDoubleSchema(16), "parse_dbl/16"));
+  cases.push_back(GoldenCase{"page_checksum/1mb", checksum_case(&Crc32c),
+                             checksum_case(&Crc32cPortable)});
 
   bench::TablePrinter table({"stage", "ms_per_chunk"});
   bench::TablePrinter scalar_table({"stage", "ms_per_chunk"});

@@ -15,7 +15,7 @@ Status BinaryChunk::AddColumn(size_t col, ColumnVector vector) {
   return Status::OK();
 }
 
-Status BinaryChunk::MergeColumnsFrom(const BinaryChunk& other) {
+Status BinaryChunk::MergeColumnsFrom(BinaryChunk other) {
   if (other.chunk_index_ != chunk_index_) {
     return Status::InvalidArgument("merging chunks with different indexes");
   }
@@ -23,8 +23,8 @@ Status BinaryChunk::MergeColumnsFrom(const BinaryChunk& other) {
     return Status::InvalidArgument("merging chunks with different row counts");
   }
   if (num_rows_ == 0) num_rows_ = other.num_rows_;
-  for (const auto& [id, vec] : other.columns_) {
-    if (!columns_.count(id)) columns_[id] = vec;
+  for (auto& [id, vec] : other.columns_) {
+    columns_.try_emplace(id, std::move(vec));
   }
   return Status::OK();
 }

@@ -43,10 +43,11 @@ class BinaryChunk {
   // Requires HasColumn(col).
   const ColumnVector& column(size_t col) const { return columns_.at(col); }
 
-  // Merges columns from `other` (same chunk_index / row count) into this
-  // chunk; used when a query needs columns from both the database and the
-  // raw file.
-  Status MergeColumnsFrom(const BinaryChunk& other);
+  // Moves the columns of `other` (same chunk_index / row count) that this
+  // chunk lacks into it; used when a query needs columns from both the
+  // database and the raw file, or from several stored segments. Pass an
+  // rvalue to move rather than copy the columns.
+  Status MergeColumnsFrom(BinaryChunk other);
 
   // Hands every column's backing buffers to `source` for reuse (see
   // ChunkBufferPool::WrapChunk); the chunk is empty afterwards.

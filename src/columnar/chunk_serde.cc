@@ -1,20 +1,32 @@
 #include "columnar/chunk_serde.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "common/checksum.h"
 #include "common/string_util.h"
 
 namespace scanraw {
 
 namespace {
 
-constexpr uint32_t kChunkMagic = 0x53435243;  // "SCRC"
+// The page header: magic (u32), body size (u64), body checksum (u64 slot).
+// kFnvChunkMagic pages checksummed their body with FNV-1a; they are refused
+// rather than read, and restart recovery reverts their chunks to raw.
+constexpr uint32_t kChunkMagic = 0x53435232;     // "SCR2": CRC32C
+constexpr uint32_t kFnvChunkMagic = 0x53435243;  // "SCRC": FNV-1a
+constexpr size_t kBodySizeAt = sizeof(uint32_t);
+constexpr size_t kChecksumAt = kBodySizeAt + sizeof(uint64_t);
+constexpr size_t kHeaderBytes = kChecksumAt + sizeof(uint64_t);
 
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 void PutU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+void PatchU64(std::string* out, size_t at, uint64_t v) {
+  std::memcpy(out->data() + at, &v, sizeof(v));
 }
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -105,59 +117,100 @@ bool DecodeVarintDelta(Reader* reader, FieldType type, size_t num_values,
   return true;
 }
 
-}  // namespace
-
-uint64_t Fnv1aHash(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+// Bytes of a column's kRawBytes page image: id, type and encoding, then
+// the length-prefixed payload (arena and offsets for strings).
+size_t RawPageBytes(const ColumnVector& vec) {
+  const size_t framing = sizeof(uint64_t) + 2 + sizeof(uint64_t);
+  if (IsFixedWidth(vec.type())) return framing + vec.fixed_data().size();
+  return framing + vec.string_arena().size() + sizeof(uint64_t) +
+         vec.string_offsets().size() * sizeof(uint32_t);
 }
+
+}  // namespace
 
 Status SerializeChunk(const BinaryChunk& chunk, std::string* out,
                       bool compress) {
-  std::string body;
-  PutU64(&body, chunk.chunk_index());
-  PutU64(&body, chunk.num_rows());
-  PutU32(&body, static_cast<uint32_t>(chunk.num_columns()));
-  for (size_t col : chunk.ColumnIds()) {
+  return SerializeChunkColumns(chunk, chunk.ColumnIds(), out, compress);
+}
+
+Status SerializeChunkColumns(const BinaryChunk& chunk,
+                             const std::vector<size_t>& columns,
+                             std::string* out, bool compress) {
+  // The checks AddColumn makes when the columns are copied, in list order,
+  // into a chunk whose row count starts at chunk.num_rows().
+  size_t num_rows = chunk.num_rows();
+  bool rows_set = num_rows != 0;
+  for (size_t col : columns) {
+    if (!chunk.HasColumn(col)) {
+      return Status::InvalidArgument(
+          StringPrintf("chunk lacks column %zu", col));
+    }
+    const size_t rows = chunk.column(col).size();
+    if (rows_set && rows != num_rows) {
+      return Status::InvalidArgument(StringPrintf(
+          "column %zu has %zu rows, chunk has %zu", col, rows, num_rows));
+    }
+    num_rows = rows;
+    rows_set = true;
+  }
+  std::vector<size_t> ids(columns);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+
+  // One pass: a header placeholder, then the body straight into `out`
+  // (reserved up front at its raw size: chunk index, row and column
+  // counts, one page image per column), then the size and checksum.
+  size_t body_bytes = 2 * sizeof(uint64_t) + sizeof(uint32_t);
+  for (size_t col : ids) body_bytes += RawPageBytes(chunk.column(col));
+  const size_t header_at = out->size();
+  out->reserve(header_at + kHeaderBytes + body_bytes);
+  PutU32(out, kChunkMagic);
+  PutU64(out, 0);
+  PutU64(out, 0);
+  const size_t body_at = out->size();
+  PutU64(out, chunk.chunk_index());
+  PutU64(out, num_rows);
+  PutU32(out, static_cast<uint32_t>(ids.size()));
+  for (size_t col : ids) {
     const ColumnVector& vec = chunk.column(col);
-    PutU64(&body, col);
-    PutU8(&body, static_cast<uint8_t>(vec.type()));
-    // Adaptive: delta-encode integer columns only when it actually beats
-    // the raw page (clustered data wins; random 32-bit data would expand).
-    std::string delta_payload;
-    bool delta = false;
+    PutU64(out, col);
+    PutU8(out, static_cast<uint8_t>(vec.type()));
+    const size_t encoding_at = out->size();
+    PutU8(out, static_cast<uint8_t>(ColumnEncoding::kRawBytes));
     if (compress && (vec.type() == FieldType::kUint32 ||
                      vec.type() == FieldType::kInt64)) {
-      EncodeVarintDelta(vec, &delta_payload);
-      delta = delta_payload.size() < vec.fixed_data().size();
+      // Adaptive: keep the delta stream only when it actually beats the
+      // raw page (clustered data wins; random 32-bit data would expand).
+      const size_t len_at = out->size();
+      PutU64(out, 0);
+      EncodeVarintDelta(vec, out);
+      const size_t delta_bytes = out->size() - len_at - sizeof(uint64_t);
+      if (delta_bytes < vec.fixed_data().size()) {
+        (*out)[encoding_at] =
+            static_cast<char>(ColumnEncoding::kVarintDelta);
+        PatchU64(out, len_at, delta_bytes);
+        continue;
+      }
+      out->resize(len_at);
     }
-    PutU8(&body, static_cast<uint8_t>(delta ? ColumnEncoding::kVarintDelta
-                                            : ColumnEncoding::kRawBytes));
-    if (delta) {
-      PutU64(&body, delta_payload.size());
-      body.append(delta_payload);
-    } else if (IsFixedWidth(vec.type())) {
+    if (IsFixedWidth(vec.type())) {
       const auto& data = vec.fixed_data();
-      PutU64(&body, data.size());
-      body.append(reinterpret_cast<const char*>(data.data()), data.size());
+      PutU64(out, data.size());
+      out->append(reinterpret_cast<const char*>(data.data()), data.size());
     } else {
       const auto& arena = vec.string_arena();
       const auto& offsets = vec.string_offsets();
-      PutU64(&body, arena.size());
-      body.append(arena);
-      PutU64(&body, offsets.size());
-      body.append(reinterpret_cast<const char*>(offsets.data()),
+      PutU64(out, arena.size());
+      out->append(arena);
+      PutU64(out, offsets.size());
+      out->append(reinterpret_cast<const char*>(offsets.data()),
                   offsets.size() * sizeof(uint32_t));
     }
   }
-  PutU32(out, kChunkMagic);
-  PutU64(out, body.size());
-  PutU64(out, Fnv1aHash(body));
-  out->append(body);
+  const size_t body_size = out->size() - body_at;
+  PatchU64(out, header_at + kBodySizeAt, body_size);
+  PatchU64(out, header_at + kChecksumAt,
+           Crc32c(std::string_view(out->data() + body_at, body_size)));
   return Status::OK();
 }
 
@@ -165,9 +218,12 @@ Result<BinaryChunk> DeserializeChunk(std::string_view data) {
   Reader reader(data);
   uint32_t magic = 0;
   uint64_t body_size = 0, checksum = 0;
-  if (!reader.GetU32(&magic) || magic != kChunkMagic) {
-    return Status::Corruption("bad chunk magic");
+  if (!reader.GetU32(&magic)) return Status::Corruption("bad chunk magic");
+  if (magic == kFnvChunkMagic) {
+    return Status::Corruption(
+        "chunk page in the older FNV-1a page format; not read");
   }
+  if (magic != kChunkMagic) return Status::Corruption("bad chunk magic");
   if (!reader.GetU64(&body_size) || !reader.GetU64(&checksum)) {
     return Status::Corruption("truncated chunk header");
   }
@@ -175,7 +231,7 @@ Result<BinaryChunk> DeserializeChunk(std::string_view data) {
   if (!reader.GetBytes(body_size, &body)) {
     return Status::Corruption("truncated chunk body");
   }
-  if (Fnv1aHash(body) != checksum) {
+  if (Crc32c(body) != checksum) {
     return Status::Corruption("chunk checksum mismatch");
   }
 

@@ -1,6 +1,6 @@
 #include "db/sketches.h"
 
-#include "columnar/chunk_serde.h"
+#include "common/checksum.h"
 
 namespace scanraw {
 

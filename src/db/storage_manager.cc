@@ -35,19 +35,10 @@ StorageManager::StorageManager(std::string path,
 
 Result<StoredSegment> StorageManager::WriteSegment(
     const BinaryChunk& chunk, const std::vector<size_t>& columns) {
-  BinaryChunk subset(chunk.chunk_index());
-  subset.set_num_rows(chunk.num_rows());
-  for (size_t col : columns) {
-    if (!chunk.HasColumn(col)) {
-      return Status::InvalidArgument(
-          StringPrintf("chunk lacks column %zu", col));
-    }
-    SCANRAW_RETURN_IF_ERROR(subset.AddColumn(col, chunk.column(col)));
-  }
   std::string blob;
   const int64_t t0 = RealClock::Instance()->NowNanos();
-  SCANRAW_RETURN_IF_ERROR(
-      SerializeChunk(subset, &blob, compress_.load(std::memory_order_relaxed)));
+  SCANRAW_RETURN_IF_ERROR(SerializeChunkColumns(
+      chunk, columns, &blob, compress_.load(std::memory_order_relaxed)));
 
   MutexLock lock(write_mu_);
   StoredSegment segment;
@@ -92,8 +83,9 @@ Result<BinaryChunk> StorageManager::ReadSegment(const PageRef& page) const {
       reader_ = std::move(*reader);
     }
   }
-  std::string blob(page.size, '\0');
-  auto n = reader_->ReadAt(page.offset, page.size, blob.data());
+  // Filled by the read, so left unzeroed.
+  auto blob = std::make_unique_for_overwrite<char[]>(page.size);
+  auto n = reader_->ReadAt(page.offset, page.size, blob.get());
   if (!n.ok()) return n.status();
   if (*n != page.size) {
     return Status::Corruption(StringPrintf(
@@ -101,7 +93,7 @@ Result<BinaryChunk> StorageManager::ReadSegment(const PageRef& page) const {
         static_cast<unsigned long long>(page.offset), *n,
         static_cast<unsigned long long>(page.size)));
   }
-  return DeserializeChunk(blob);
+  return DeserializeChunk(std::string_view(blob.get(), page.size));
 }
 
 Status StorageManager::VerifySegment(const PageRef& page) const {
@@ -137,7 +129,7 @@ Result<BinaryChunk> StorageManager::ReadChunkColumns(
     if (!relevant) continue;
     auto part = ReadSegment(seg.page);
     if (!part.ok()) return part.status();
-    SCANRAW_RETURN_IF_ERROR(merged.MergeColumnsFrom(*part));
+    SCANRAW_RETURN_IF_ERROR(merged.MergeColumnsFrom(std::move(*part)));
     for (size_t c : seg.columns) needed.erase(c);
   }
   // Segments may carry extra columns beyond the requested set; they are kept

@@ -2,14 +2,15 @@
 
 #include <cstring>
 
-#include "columnar/chunk_serde.h"  // Fnv1aHash
+#include "common/checksum.h"
 
 namespace scanraw {
 namespace {
 
-// Bumped whenever the byte layout changes; decoders reject unknown versions
-// (dropping the sidecar is always safe — the maps are rebuildable).
-constexpr std::string_view kMagic = "scanraw-posmap v1\n";
+// Bumped whenever the byte layout or checksum changes; decoders reject
+// unknown versions (dropping the sidecar is always safe — the maps are
+// rebuildable). v1 summed with FNV-1a, v2 with CRC32C.
+constexpr std::string_view kMagic = "scanraw-posmap v2\n";
 
 // Decode-side sanity bounds: a corrupt length field must not drive a huge
 // allocation before the checksum gets a chance to reject the record.
@@ -77,12 +78,12 @@ std::string EncodePosmapSidecar(
         reinterpret_cast<const char*>(offsets.data()),
         offsets.size() * sizeof(uint32_t));
     out.append(payload);
-    AppendU64(&out, Fnv1aHash(payload));
+    AppendU64(&out, Crc32c(payload));
   }
 
   // Whole-file checksum: catches torn tails the per-entry sums cannot (e.g.
   // a truncated entry count) and doubles as an end-of-file marker.
-  AppendU64(&out, Fnv1aHash(out));
+  AppendU64(&out, Crc32c(out));
   return out;
 }
 
@@ -95,7 +96,7 @@ Result<std::vector<PosmapSidecarEntry>> DecodePosmapSidecar(
   const std::string_view body = data.substr(0, data.size() - sizeof(uint64_t));
   uint64_t footer = 0;
   std::memcpy(&footer, data.data() + body.size(), sizeof(footer));
-  if (footer != Fnv1aHash(body)) {
+  if (footer != Crc32c(body)) {
     return Status::Corruption("posmap sidecar: file checksum mismatch");
   }
 
@@ -147,7 +148,7 @@ Result<std::vector<PosmapSidecarEntry>> DecodePosmapSidecar(
                                    slots * sizeof(uint32_t));
     r.pos += payload.size();
     uint64_t sum = 0;
-    if (!r.ReadU64(&sum) || sum != Fnv1aHash(payload)) {
+    if (!r.ReadU64(&sum) || sum != Crc32c(payload)) {
       return Status::Corruption("posmap sidecar: entry checksum mismatch");
     }
     std::vector<uint32_t> offsets(slots);

@@ -2,14 +2,16 @@
 // per-chunk PositionalMaps next to the catalog (`<catalog>.posmap.<table>`)
 // so a warm restart can skip TOKENIZE entirely for chunks it mapped before.
 //
-// The format is versioned and checksummed: a magic line, a binary header
-// recording the *exact* stat of the raw file (size + mtime in nanoseconds)
-// and the tokenize dialect the maps were built under, then one record per
-// chunk (each with its own FNV-1a checksum over the offset payload), and a
-// whole-file FNV-1a footer. A sidecar whose stat or dialect no longer
-// matches the live table is stale and must be dropped, never reused — a
-// positional map is only meaningful against the byte-identical raw file and
-// the same delimiter/quote rules it was built from.
+// The format (v2) is versioned and checksummed: a magic line, a binary
+// header recording the *exact* stat of the raw file (size + mtime in
+// nanoseconds) and the tokenize dialect the maps were built under, then one
+// record per chunk (each with its own CRC32C over the offset payload), and
+// a whole-file CRC32C footer; each sum sits in a 64-bit slot. A v1 sidecar
+// (FNV-1a sums) fails the magic check and is dropped. A sidecar whose stat
+// or dialect no longer matches the live table is stale and must be dropped,
+// never reused — a positional map is only meaningful against the
+// byte-identical raw file and the same delimiter/quote rules it was built
+// from.
 //
 // This module is pure bytes<->structs; file I/O and validation against the
 // catalog live in src/db/recovery.cc.

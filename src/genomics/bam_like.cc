@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "columnar/chunk_serde.h"
+#include "common/checksum.h"
 #include "common/string_util.h"
 #include "io/rate_limiter.h"
 

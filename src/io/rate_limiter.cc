@@ -25,6 +25,7 @@ void RateLimiter::Acquire(uint64_t bytes) {
   }
   const int64_t enter_nanos = clock_->NowNanos();
   bool slept = false;
+  bool admitted = false;
   MutexLock lock(mu_);
   while (true) {
     const int64_t now = clock_->NowNanos();
@@ -34,12 +35,17 @@ void RateLimiter::Acquire(uint64_t bytes) {
     available_bytes_ = std::min(
         cap, available_bytes_ +
                  elapsed * static_cast<double>(bytes_per_second_));
-    // Requests larger than the burst capacity are admitted once the bucket
-    // is full, taking the balance negative; the debt throttles later calls.
+    // A request larger than the burst capacity is admitted once the bucket
+    // is full, taking the balance negative, and then waits here until the
+    // balance is back to zero: it pays its own debt, so the emulated device
+    // time lands on this caller, not the next one.
     const double need = std::min(static_cast<double>(bytes), cap);
-    if (available_bytes_ >= need) {
+    if (!admitted && available_bytes_ >= need) {
       available_bytes_ -= static_cast<double>(bytes);
       total_admitted_ += bytes;
+      admitted = true;
+    }
+    if (admitted && available_bytes_ >= 0) {
       if (slept) {
         const int64_t waited = clock_->NowNanos() - enter_nanos;
         total_wait_nanos_ += waited > 0 ? static_cast<uint64_t>(waited) : 0;
@@ -51,7 +57,7 @@ void RateLimiter::Acquire(uint64_t bytes) {
       }
       return;
     }
-    const double deficit = need - available_bytes_;
+    const double deficit = (admitted ? 0 : need) - available_bytes_;
     const double wait_s = deficit / static_cast<double>(bytes_per_second_);
     slept = true;
     // Timed wait releases the lock while the emulated device "spins"; the

@@ -20,7 +20,9 @@ class RateLimiter {
   explicit RateLimiter(uint64_t bytes_per_second,
                        const Clock* clock = RealClock::Instance());
 
-  // Blocks until `bytes` can be admitted at the configured rate.
+  // Blocks until `bytes` can be admitted at the configured rate. A request
+  // larger than the burst also waits out the debt it leaves before
+  // returning.
   void Acquire(uint64_t bytes) EXCLUDES(mu_);
 
   uint64_t bytes_per_second() const { return bytes_per_second_; }

@@ -155,14 +155,17 @@ struct ScanRawOptions {
   // Period of the §3.3 resource-advice sample each running query takes on
   // the process's ticker (pipeline/ticker.h); 0 = none. Requires
   // `telemetry`. A query also takes one sample when it starts and one when
-  // it ends, so short queries still leave a series.
+  // it ends, so short queries still leave a series. Queries on a retired
+  // table (the manager's heap scan) take none: there is no pipeline,
+  // buffers or workers to sample.
   int resource_sample_interval_ms = 0;
 
   // Live progress: when set, each running query invokes this callback at
   // start, every `progress_interval_ms` on the process's ticker and at its
   // end, with bytes processed vs. total, chunks delivered/loaded, rolling
-  // throughput, and an ETA. It shares the ticker with the stall watchdog,
-  // so it must not block: print a line, or copy the report and return.
+  // throughput, and an ETA. A query on a retired table reports only at its
+  // start and end. It shares the ticker with the stall watchdog, so it must
+  // not block: print a line, or copy the report and return.
   std::function<void(const obs::QueryProgress&)> progress_callback;
   int progress_interval_ms = 200;
 

@@ -102,6 +102,14 @@ bool ChunkHasColumns(const BinaryChunk& chunk,
   return true;
 }
 
+// Full and invisible loading store chunks as part of the query: a query
+// under them ends only once its writes have drained, and a failed write is
+// a query error.
+bool LoadsSynchronously(LoadPolicy policy) {
+  return policy == LoadPolicy::kFullLoad ||
+         policy == LoadPolicy::kInvisibleLoading;
+}
+
 }  // namespace
 
 void PipelineProfile::Bind(obs::MetricsRegistry* registry) {
@@ -927,6 +935,11 @@ struct ScanRaw::QueryRun::Impl {
       clean = !abandoned && first_error.ok();
     }
     read_heartbeat.reset();
+    // Loading is part of a synchronous-loading query: its writes drain
+    // before the final report, which then counts every chunk it loaded.
+    if (clean && LoadsSynchronously(parent->options_.policy)) {
+      parent->WaitForWrites();
+    }
     // A cleanly drained pipeline pins the tracker to 100% so the final
     // report always reads completion — even when totals were estimates
     // (discovery scans) or rounding left the fraction short. Abandoned or
@@ -1186,10 +1199,8 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   Status s = run.GetStatus();
   if (!s.ok()) return fail(s);
   if (!result.ok()) return fail(result.status());
-  if (options_.policy == LoadPolicy::kFullLoad ||
-      options_.policy == LoadPolicy::kInvisibleLoading) {
-    // Synchronous-loading regimes: loading is part of the query.
-    WaitForWrites();
+  if (LoadsSynchronously(options_.policy)) {
+    // JoinAll drained the writes: a failed one fails the query.
     Status ws = write_status();
     if (!ws.ok()) return fail(ws);
   }
@@ -1377,11 +1388,9 @@ Result<std::vector<QueryResult>> ScanRaw::ExecuteQueries(
       SCANRAW_RETURN_IF_ERROR(executor.Consume(***next));
     }
   }
-  (*run)->Finish();
+  (*run)->Finish();  // drains synchronous loading's writes
   SCANRAW_RETURN_IF_ERROR((*run)->status());
-  if (options_.policy == LoadPolicy::kFullLoad ||
-      options_.policy == LoadPolicy::kInvisibleLoading) {
-    WaitForWrites();
+  if (LoadsSynchronously(options_.policy)) {
     SCANRAW_RETURN_IF_ERROR(write_status());
   }
   std::vector<QueryResult> results;
@@ -1617,8 +1626,7 @@ void ScanRaw::WriteLoop() {
     }
     if (status.ok()) {
       cache_.MarkLoaded(req->chunk_index);
-    } else if (options_.policy == LoadPolicy::kFullLoad ||
-               options_.policy == LoadPolicy::kInvisibleLoading) {
+    } else if (LoadsSynchronously(options_.policy)) {
       // Loading is part of the query under these policies; surface it.
       MutexLock lock(write_mu_);
       if (write_status_.ok()) write_status_ = status;

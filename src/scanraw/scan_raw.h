@@ -227,9 +227,11 @@ class ScanRaw {
     Result<std::optional<BinaryChunkPtr>> Next() override;
 
     // Waits for this query's running tasks, never for the whole pool
-    // (idempotent; the destructor calls it). Background loading keeps
-    // draining on the operator's WRITE thread so the safeguard flush
-    // overlaps with the next query (§4).
+    // (idempotent; the destructor calls it). Under the synchronous-loading
+    // policies (kFullLoad, kInvisibleLoading) a clean run also waits for
+    // the operator's queued writes, before its final progress report.
+    // Background loading keeps draining on the operator's WRITE thread so
+    // the safeguard flush overlaps with the next query (§4).
     void Finish();
 
     // First error raised by any pipeline step (OK if none).

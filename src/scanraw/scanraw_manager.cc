@@ -243,11 +243,16 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
   if (!meta.ok()) return meta.status();
 
   ScanRaw* op = nullptr;
-  obs::QueryLog* query_log = nullptr;  // the retired heap scan's log
+  // The retired heap scan's log and progress callback.
+  obs::QueryLog* query_log = nullptr;
+  std::function<void(const obs::QueryProgress&)> progress_callback;
   {
     MutexLock lock(mu_);
     auto opt_it = options_.find(table);
-    if (opt_it != options_.end()) query_log = opt_it->second.query_log;
+    if (opt_it != options_.end()) {
+      query_log = opt_it->second.query_log;
+      progress_callback = opt_it->second.progress_callback;
+    }
     auto it = operators_.find(table);
     if (it != operators_.end()) {
       // Retire the operator once the whole raw file is in the database and
@@ -315,6 +320,17 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
       explain != nullptr ? explain
                          : (query_log != nullptr ? &local_report : nullptr);
   const double start = RealClock::Instance()->NowSeconds();
+  // No pipeline runs here, so there is nothing to sample, but the query
+  // reports progress: once at the start and once at the end, where a clean
+  // scan is complete over the chunks it scanned plus those it skipped.
+  obs::QueryProgress progress;
+  if (progress_callback) {
+    progress.chunks_total = meta->chunks.size();
+    for (const ChunkMetadata& c : meta->chunks) {
+      progress.bytes_total += c.raw_size;
+    }
+    progress_callback(progress);
+  }
   obs::SpanProfiler profiler;
   obs::SpanProfiler* spans = report != nullptr ? &profiler : nullptr;
   HeapScanStream stream(*meta, storage_.get(), spec.RequiredColumns(),
@@ -323,6 +339,23 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
       telemetry_.metrics().GetCounter("heapscan.chunks_scanned"),
       telemetry_.metrics().GetCounter("heapscan.chunks_skipped"));
   auto result = RunQuery(spec, &stream, spans);
+  if (progress_callback) {
+    progress.elapsed_seconds = RealClock::Instance()->NowSeconds() - start;
+    progress.chunks_delivered =
+        stream.scan().chunks_scanned() + stream.scan().chunks_skipped();
+    if (result.ok()) {
+      progress.bytes_processed = progress.bytes_total;
+      if (progress.elapsed_seconds > 0) {
+        progress.throughput_bps =
+            static_cast<double>(progress.bytes_total) /
+            progress.elapsed_seconds;
+      }
+      progress.fraction = 1.0;
+      progress.eta_seconds = 0;
+      progress.complete = true;
+    }
+    progress_callback(progress);
+  }
   if (!result.ok()) {
     LogQueryEvent(query_log, table, kPolicy, /*advisor_used=*/false, spec,
                   result.status(), RealClock::Instance()->NowSeconds() - start,

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "columnar/binary_chunk.h"
 #include "columnar/chunk_serde.h"
 #include "columnar/chunk_sort.h"
 #include "columnar/column_vector.h"
+#include "common/checksum.h"
 #include "common/random.h"
 
 namespace scanraw {
@@ -222,6 +226,94 @@ TEST(ChunkSerdeTest, Fnv1aMatchesKnownVector) {
   // FNV-1a 64-bit test vectors.
   EXPECT_EQ(Fnv1aHash(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(Fnv1aHash("a"), 0xaf63dc4c8601ec8cull);
+}
+
+// Page header: magic (u32), body size (u64), body checksum (u64 slot).
+constexpr size_t kPageHeaderBytes = 4 + 8 + 8;
+
+TEST(ChunkSerdeTest, PageChecksumIsCrc32cOfBody) {
+  BinaryChunk chunk = MakeMixedChunk(2, 20);
+  std::string blob;
+  ASSERT_TRUE(SerializeChunk(chunk, &blob).ok());
+  uint64_t body_size = 0, checksum = 0;
+  std::memcpy(&body_size, blob.data() + 4, sizeof(body_size));
+  std::memcpy(&checksum, blob.data() + 12, sizeof(checksum));
+  ASSERT_EQ(body_size, blob.size() - kPageHeaderBytes);
+  EXPECT_EQ(checksum,
+            Crc32cPortable(std::string_view(blob).substr(kPageHeaderBytes)));
+}
+
+TEST(ChunkSerdeTest, DetectsEverySingleByteChangeInBody) {
+  BinaryChunk chunk = MakeMixedChunk(3, 4);
+  std::string blob;
+  ASSERT_TRUE(SerializeChunk(chunk, &blob).ok());
+  ASSERT_TRUE(DeserializeChunk(blob).ok());
+  size_t checked = 0;
+  for (size_t at = kPageHeaderBytes; at < blob.size(); ++at) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::string bad = blob;
+      bad[at] = static_cast<char>(bad[at] ^ mask);
+      ASSERT_TRUE(DeserializeChunk(bad).status().IsCorruption())
+          << "byte " << at << " xor " << mask;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 255u * 100);
+}
+
+// A page of the older format: the same body, the old magic, and the
+// body's FNV-1a in the checksum slot.
+TEST(ChunkSerdeTest, OlderFnvPageFormatIsCorruption) {
+  BinaryChunk chunk = MakeMixedChunk(4, 30);
+  std::string blob;
+  ASSERT_TRUE(SerializeChunk(chunk, &blob).ok());
+  const uint32_t old_magic = 0x53435243;
+  const uint64_t fnv =
+      Fnv1aHash(std::string_view(blob).substr(kPageHeaderBytes));
+  std::memcpy(blob.data(), &old_magic, sizeof(old_magic));
+  std::memcpy(blob.data() + 12, &fnv, sizeof(fnv));
+  auto back = DeserializeChunk(blob);
+  ASSERT_TRUE(back.status().IsCorruption());
+  EXPECT_NE(back.status().message().find("page format"), std::string::npos)
+      << back.status().ToString();
+}
+
+// One-pass encoding of a column list is byte-identical to copying those
+// columns into a chunk of their own and serializing that, for lists in any
+// order and with duplicates, compressed or not.
+TEST(ChunkSerdeTest, ColumnSubsetMatchesSubsetThenSerialize) {
+  const BinaryChunk chunk = MakeMixedChunk(6, 64);
+  const std::vector<std::vector<size_t>> lists = {
+      {}, {0}, {9, 0}, {5, 1, 9, 0}, {1, 1, 5, 1}, {9, 5, 9, 0, 1}};
+  for (bool compress : {false, true}) {
+    for (const std::vector<size_t>& columns : lists) {
+      BinaryChunk subset(chunk.chunk_index());
+      subset.set_num_rows(chunk.num_rows());
+      for (size_t col : columns) {
+        ASSERT_TRUE(subset.AddColumn(col, chunk.column(col)).ok());
+      }
+      std::string expected, actual = "prefix";
+      ASSERT_TRUE(SerializeChunk(subset, &expected, compress).ok());
+      ASSERT_TRUE(
+          SerializeChunkColumns(chunk, columns, &actual, compress).ok());
+      EXPECT_EQ(actual, "prefix" + expected)
+          << columns.size() << " columns, compress " << compress;
+    }
+  }
+}
+
+TEST(ChunkSerdeTest, ColumnSubsetRejectsMissingOrMislengthColumn) {
+  BinaryChunk chunk = MakeMixedChunk(7, 10);
+  std::string out;
+  EXPECT_TRUE(
+      SerializeChunkColumns(chunk, {0, 3}, &out).IsInvalidArgument());
+  // A row count that disagrees with the columns, as AddColumn rejects it.
+  chunk.set_num_rows(11);
+  EXPECT_TRUE(SerializeChunkColumns(chunk, {1}, &out).IsInvalidArgument());
+  BinaryChunk subset(chunk.chunk_index());
+  subset.set_num_rows(chunk.num_rows());
+  EXPECT_TRUE(subset.AddColumn(1, chunk.column(1)).IsInvalidArgument());
+  EXPECT_TRUE(out.empty());
 }
 
 // Property sweep: serialization round-trips across sizes.

@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -212,6 +213,43 @@ TEST(StringUtilTest, StringPrintf) {
   // Long outputs exercise the heap path.
   std::string big(500, 'y');
   EXPECT_EQ(StringPrintf("%s", big.c_str()).size(), 500u);
+}
+
+// The check value and the RFC 3720 (iSCSI) B.4 vectors, on both paths.
+TEST(Crc32cTest, MatchesStandardVectors) {
+  std::string zeros(32, '\x00');
+  std::string ones(32, '\xFF');
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  const std::pair<std::string, uint32_t> vectors[] = {
+      {"123456789", 0xE3069283u}, {zeros, 0x8A9136AAu},
+      {ones, 0x62A8AB43u},        {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},  {"", 0u},
+  };
+  for (const auto& [data, crc] : vectors) {
+    EXPECT_EQ(Crc32c(data), crc) << data.size() << " bytes";
+    EXPECT_EQ(Crc32cPortable(data), crc) << data.size() << " bytes";
+  }
+}
+
+// With SCANRAW_SIMD on an SSE4.2 host Crc32c takes the eight-bytes-per-
+// instruction path; it must agree with the portable table for every length
+// and alignment, covering the word loop and every tail length.
+TEST(Crc32cTest, DispatchedPathMatchesPortable) {
+  Random rng(25);
+  std::string buffer(1024 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.NextUint32());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32c(data), Crc32cPortable(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 }  // namespace

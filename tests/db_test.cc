@@ -465,6 +465,48 @@ TEST(StorageManagerTest, PartialColumnSegmentsMerge) {
   EXPECT_EQ(merged->column(1).AsUint32()[1], 8u);
 }
 
+// The requested columns span two stored segments that overlap in column
+// 2: the merge moves each column out of the earliest segment holding it,
+// strings included.
+TEST(StorageManagerTest, OverlappingSegmentsMergeEarliestFirst) {
+  auto storage = StorageManager::Create(TempPath("db_overlap.bin"));
+  ASSERT_TRUE(storage.ok());
+  BinaryChunk chunk = MakeChunk(3, {1, 2, 3}, {4, 5, 6});
+  ColumnVector names(FieldType::kString);
+  for (const char* name : {"ada", "", "grace"}) names.AppendString(name);
+  ASSERT_TRUE(chunk.AddColumn(2, std::move(names)).ok());
+
+  ChunkMetadata meta;
+  meta.chunk_index = 3;
+  meta.num_rows = 3;
+  for (const std::vector<size_t>& columns :
+       {std::vector<size_t>{2, 0}, std::vector<size_t>{1, 2, 1}}) {
+    auto seg = (*storage)->WriteSegment(chunk, columns);
+    ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+    meta.segments.push_back(*seg);
+    meta.loaded_columns.insert(columns.begin(), columns.end());
+  }
+  auto merged = (*storage)->ReadChunkColumns(meta, {1, 2, 0});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->ColumnIds(), (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(merged->num_rows(), 3u);
+  EXPECT_EQ(merged->column(0).AsUint32()[2], 3u);
+  EXPECT_EQ(merged->column(1).AsUint32()[0], 4u);
+  EXPECT_EQ(merged->column(2).StringAt(0), "ada");
+  EXPECT_EQ(merged->column(2).StringAt(1), "");
+  EXPECT_EQ(merged->column(2).StringAt(2), "grace");
+}
+
+TEST(StorageManagerTest, WriteMislengthColumnRejected) {
+  auto storage = StorageManager::Create(TempPath("db_mislength.bin"));
+  ASSERT_TRUE(storage.ok());
+  BinaryChunk chunk = MakeChunk(0, {1, 2}, {3, 4});
+  chunk.set_num_rows(3);
+  EXPECT_TRUE(
+      (*storage)->WriteSegment(chunk, {0}).status().IsInvalidArgument());
+  EXPECT_EQ((*storage)->bytes_written(), 0u);
+}
+
 TEST(StorageManagerTest, WriteMissingColumnRejected) {
   auto storage = StorageManager::Create(TempPath("db3.bin"));
   ASSERT_TRUE(storage.ok());

@@ -101,16 +101,25 @@ TEST(RateLimiterTest, EnforcesApproximateRate) {
   EXPECT_EQ(limiter.total_admitted(), 2ull * 1000 * 1000);
 }
 
-TEST(RateLimiterTest, OversizedRequestAdmittedWithDebt) {
+TEST(RateLimiterTest, OversizedRequestPaysItsOwnDebt) {
   RealClock clock;
   RateLimiter limiter(1000 * 1000, &clock);  // 1 MB/s, burst = 50 KB
   const int64_t start = clock.NowNanos();
-  limiter.Acquire(200 * 1000);  // 4x the burst: admitted, leaves debt
-  const double first = static_cast<double>(clock.NowNanos() - start) * 1e-9;
-  EXPECT_LT(first, 0.1);  // did not wait for the whole 0.2s
-  limiter.Acquire(10 * 1000);  // must pay back the debt first
-  const double total = static_cast<double>(clock.NowNanos() - start) * 1e-9;
-  EXPECT_GT(total, 0.1);
+  // 4x the burst: admitted on the full bucket, then waits out the 150 KB of
+  // debt it leaves (0.15 s) before returning.
+  limiter.Acquire(200 * 1000);
+  const int64_t after_first = clock.NowNanos();
+  const double first = static_cast<double>(after_first - start) * 1e-9;
+  EXPECT_GT(first, 0.13);
+  EXPECT_LT(first, 0.5);
+  EXPECT_EQ(limiter.throttle_events(), 1u);
+  EXPECT_GE(limiter.total_wait_nanos(), 130'000'000u);
+  // The next caller waits only for its own 10 KB (0.01 s), none of the
+  // first request's debt.
+  limiter.Acquire(10 * 1000);
+  const double second =
+      static_cast<double>(clock.NowNanos() - after_first) * 1e-9;
+  EXPECT_LT(second, 0.08);
 }
 
 TEST(DiskArbiterTest, ExclusiveAccess) {

@@ -9,10 +9,12 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "datagen/csv_generator.h"
 #include "db/recovery.h"
 #include "io/fault_injection.h"
@@ -336,6 +338,73 @@ TEST_F(RecoveryTest, ReconcileDropsSegmentsPastStorageEof) {
   EXPECT_EQ(result->rows_scanned, kRows);
 }
 
+// A page stored in the older format (FNV-1a checksum, old magic) is never
+// served: LoadCatalog's verification drops exactly that segment, its chunk
+// reverts to raw, and the next query answers from the raw file.
+TEST_F(RecoveryTest, OlderPageFormatSegmentDroppedAndReloadedFromRaw) {
+  PageRef page;
+  {
+    ScanRawManager::Config config;
+    config.db_path = db_path_;
+    auto manager = ScanRawManager::Create(config);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(
+        (*manager)
+            ->RegisterRawFile("t", csv_path_, schema_, FullLoadOptions())
+            .ok());
+    ASSERT_TRUE((*manager)->Query("t", SumAllQuery()).ok());
+    ASSERT_TRUE((*manager)->SaveCatalog(catalog_path_).ok());
+    auto meta = (*manager)->catalog()->GetTable("t");
+    ASSERT_TRUE(meta.ok());
+    ASSERT_EQ(meta->chunks.size(), kRows / kChunkRows);
+    ASSERT_FALSE(meta->chunks[3].segments.empty());
+    page = meta->chunks[3].segments.front().page;
+  }
+  // Rewrite that page's header as the older format wrote it: the old
+  // magic, and the body's FNV-1a in the checksum slot.
+  auto db = ReadFileToString(db_path_);
+  ASSERT_TRUE(db.ok());
+  constexpr size_t kHeaderBytes = 4 + 8 + 8;
+  ASSERT_LE(page.offset + page.size, db->size());
+  const uint32_t old_magic = 0x53435243;
+  const uint64_t fnv = Fnv1aHash(std::string_view(*db).substr(
+      page.offset + kHeaderBytes, page.size - kHeaderBytes));
+  std::memcpy(db->data() + page.offset, &old_magic, sizeof(old_magic));
+  std::memcpy(db->data() + page.offset + 12, &fnv, sizeof(fnv));
+  ASSERT_TRUE(WriteStringToFile(db_path_, *db).ok());
+
+  ScanRawManager::Config config;
+  config.db_path = db_path_;
+  config.reuse_existing_db = true;
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE((*manager)->LoadCatalog(catalog_path_).ok());
+  const ReconcileReport report = (*manager)->last_recovery();
+  EXPECT_EQ(report.segments_dropped, 1u);
+  EXPECT_EQ(report.chunks_reverted, 1u);
+  ASSERT_EQ(report.details.size(), 1u);
+  EXPECT_NE(report.details[0].find("page format"), std::string::npos)
+      << report.details[0];
+  EXPECT_EQ((*manager)
+                ->telemetry()
+                ->metrics()
+                .GetCounter("recovery.segments_dropped")
+                ->value(),
+            1u);
+  auto meta = (*manager)->catalog()->GetTable("t");
+  ASSERT_TRUE(meta.ok());
+  EXPECT_TRUE(meta->chunks[3].loaded_columns.empty());
+  EXPECT_EQ(meta->chunks[2].loaded_columns.size(), kCols);
+
+  ASSERT_TRUE((*manager)->AttachOptions("t", FullLoadOptions()).ok());
+  obs::ExplainReport explain;
+  auto result = (*manager)->Query("t", SumAllQuery(), &explain);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_sum, info_.total_sum);
+  EXPECT_EQ(result->rows_scanned, kRows);
+  EXPECT_EQ(explain.chunks_from_raw, 1u);
+}
+
 // Disk-full during speculative loading: the query must keep running from
 // the raw side, count the failures, and answer exactly.
 TEST_F(RecoveryTest, SpeculativeEnospcFallsBackToRawSide) {
@@ -617,6 +686,41 @@ TEST_F(PosmapRecoveryTest, TornSidecarDegradesToRetokenize) {
   EXPECT_EQ(result->total_sum, info_.total_sum);
   EXPECT_GT(explain.bytes_tokenized, 0u);  // re-tokenized, not served stale
   EXPECT_EQ(explain.posmap_disk_hits, 0u);
+}
+
+// A sidecar of the older format (v1, FNV-1a sums) fails the magic check and
+// is dropped at LoadCatalog like any stale sidecar; the scan tokenizes
+// every chunk again.
+TEST_F(PosmapRecoveryTest, OlderFormatSidecarDropped) {
+  ColdScanAndSave();
+  auto bytes = ReadFileToString(SidecarPath());
+  ASSERT_TRUE(bytes.ok());
+  const std::string v2 = "scanraw-posmap v2\n";
+  ASSERT_EQ(bytes->compare(0, v2.size(), v2), 0);
+  bytes->replace(0, v2.size(), "scanraw-posmap v1\n");
+  ASSERT_TRUE(WriteStringToFile(SidecarPath(), *bytes).ok());
+
+  ScanRawManager::Config config;
+  config.db_path = db_path_;
+  config.reuse_existing_db = true;
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE((*manager)->LoadCatalog(catalog_path_).ok());
+  EXPECT_EQ((*manager)->last_recovery().posmaps_dropped, 1u);
+  EXPECT_EQ((*manager)
+                ->telemetry()
+                ->metrics()
+                .GetCounter("recovery.posmap_dropped")
+                ->value(),
+            1u);
+  ASSERT_TRUE((*manager)->AttachOptions("t", PosmapOptions()).ok());
+  obs::ExplainReport explain;
+  auto result = (*manager)->Query("t", SumAllQuery(), &explain);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_sum, info_.total_sum);
+  EXPECT_GT(explain.bytes_tokenized, 0u);
+  EXPECT_EQ(explain.posmap_disk_hits, 0u);
+  EXPECT_EQ(explain.posmap_misses, kRows / kChunkRows);
 }
 
 // A sidecar saved under one tokenize dialect must not serve a restart that

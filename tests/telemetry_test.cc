@@ -13,6 +13,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datagen/csv_generator.h"
@@ -653,6 +654,95 @@ TEST(ExplainE2eTest, ProgressCallbackFiresWithTotals) {
   EXPECT_EQ(last.chunks_total, 8u);
   EXPECT_EQ(last.chunks_delivered, 8u);
   EXPECT_NEAR(last.fraction, 1.0, 1e-9);
+}
+
+// Collects every progress report of the operators it is attached to.
+struct ProgressLog {
+  std::mutex mu;
+  std::vector<obs::QueryProgress> reports;
+
+  void Attach(ScanRawOptions* options) {
+    options->progress_callback = [this](const obs::QueryProgress& p) {
+      std::lock_guard<std::mutex> lock(mu);
+      reports.push_back(p);
+    };
+  }
+  // Returns and forgets the reports so far.
+  std::vector<obs::QueryProgress> Take() {
+    std::lock_guard<std::mutex> lock(mu);
+    return std::exchange(reports, {});
+  }
+};
+
+// Loading is part of a full-load query, so its final report, taken after
+// the writes drain, counts every chunk as loaded.
+TEST(ProgressReporterTest, FullLoadFinalReportCountsEveryChunkLoaded) {
+  ProgressLog log;
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kFullLoad;
+  log.Attach(&options);
+  auto f = Fixture::Make("progress_full_load", options);
+  QuerySpec q;
+  q.sum_columns = {0, 3};
+  ASSERT_TRUE(f.manager->Query("t", q).ok());
+  const std::vector<obs::QueryProgress> reports = log.Take();
+  ASSERT_GE(reports.size(), 2u);
+  EXPECT_TRUE(reports.back().complete);
+  EXPECT_EQ(reports.back().chunks_delivered, 8u);
+  EXPECT_EQ(reports.back().chunks_loaded, 8u);
+}
+
+// An invisible-loading query's final report counts the chunks of its
+// per-query quota.
+TEST(ProgressReporterTest, InvisibleLoadingFinalReportCountsItsQuota) {
+  ProgressLog log;
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kInvisibleLoading;
+  options.invisible_chunks_per_query = 3;
+  options.cache_capacity_chunks = 0;  // every unloaded chunk converts
+  log.Attach(&options);
+  auto f = Fixture::Make("progress_invisible", options);
+  QuerySpec q;
+  q.sum_columns = {1};
+  for (int query = 0; query < 2; ++query) {
+    ASSERT_TRUE(f.manager->Query("t", q).ok());
+    const std::vector<obs::QueryProgress> reports = log.Take();
+    ASSERT_GE(reports.size(), 2u);
+    EXPECT_TRUE(reports.back().complete);
+    EXPECT_EQ(reports.back().chunks_loaded, 3u) << "query " << query;
+  }
+}
+
+// Once a full load retires the operator, the manager answers from the heap
+// scan; those queries still report progress, first and final, and the
+// final report is complete over the table's chunks.
+TEST(ProgressReporterTest, RetiredTableQueriesReportProgress) {
+  ProgressLog log;
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kFullLoad;
+  log.Attach(&options);
+  auto f = Fixture::Make("progress_retired", options);
+  QuerySpec all;
+  for (size_t c = 0; c < 8; ++c) all.sum_columns.push_back(c);
+  ASSERT_TRUE(f.manager->Query("t", all).ok());
+  log.Take();
+  for (size_t c = 0; c < 3; ++c) {
+    QuerySpec q;
+    q.sum_columns = {c};
+    auto result = f.manager->Query("t", q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->total_sum, f.info.column_sums[c]);
+    EXPECT_TRUE(f.manager->IsRetired("t"));
+    const std::vector<obs::QueryProgress> reports = log.Take();
+    ASSERT_GE(reports.size(), 2u) << "query " << c;
+    EXPECT_FALSE(reports.front().complete);
+    const obs::QueryProgress& last = reports.back();
+    EXPECT_TRUE(last.complete);
+    EXPECT_DOUBLE_EQ(last.fraction, 1.0);
+    EXPECT_EQ(last.chunks_total, 8u);
+    EXPECT_EQ(last.chunks_delivered, 8u);
+    EXPECT_EQ(last.bytes_processed, last.bytes_total);
+  }
 }
 
 // ------------------------------- a query's first and final reports ----
