@@ -5,6 +5,7 @@
 #define SCANRAW_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -100,6 +101,48 @@ inline std::string Fmt(const char* fmt, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), fmt, v);
   return buf;
+}
+
+// Verdict of an A/B overhead gate over interleaved pairs: base[i] and
+// test[i] were timed back to back. The statistic is the median of the
+// per-pair differences, and its noise is that median's own spread, McGill's
+// notch 1.58 * IQR / sqrt(n) (about a 95% interval). The gate fails only
+// when the whole interval lies above `threshold_pct` of the base median, so
+// it needs no fixed noise floor and tightens as pairs are added.
+struct OverheadVerdict {
+  double base_median = 0;
+  double diff_median = 0;  // test - base, per pair
+  double diff_notch = 0;
+  double overhead_pct = 0;  // diff_median over base_median
+  double low_pct = 0;       // (diff_median - diff_notch) over base_median
+  bool fail = false;
+};
+
+inline double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double at = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(at);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (at - static_cast<double>(lo));
+}
+
+inline OverheadVerdict JudgeOverhead(const std::vector<double>& base,
+                                     const std::vector<double>& test,
+                                     double threshold_pct) {
+  std::vector<double> diffs;
+  for (size_t i = 0; i < base.size() && i < test.size(); ++i) {
+    diffs.push_back(test[i] - base[i]);
+  }
+  OverheadVerdict v;
+  if (diffs.empty()) return v;
+  v.base_median = Quantile(base, 0.5);
+  v.diff_median = Quantile(diffs, 0.5);
+  const double iqr = Quantile(diffs, 0.75) - Quantile(diffs, 0.25);
+  v.diff_notch = 1.58 * iqr / std::sqrt(static_cast<double>(diffs.size()));
+  v.overhead_pct = 100.0 * v.diff_median / v.base_median;
+  v.low_pct = 100.0 * (v.diff_median - v.diff_notch) / v.base_median;
+  v.fail = v.low_pct > threshold_pct;
+  return v;
 }
 
 // Machine-readable bench artifact: writes BENCH_<name>.json next to the

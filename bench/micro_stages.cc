@@ -2,8 +2,9 @@
 //
 //  1. A self-timed "golden" harness (always run, or alone with
 //     --golden-only) that times the vectorized TOKENIZE/PARSE hot path
-//     against the frozen scalar reference (bench/reference_scalar.h), and
-//     the dispatched page checksum against its portable table, and
+//     against the frozen scalar reference (bench/reference_scalar.h), the
+//     structural pass against FindLineStarts + TokenizeChunk, and the
+//     dispatched page checksum against its portable table, and
 //     writes BENCH_micro_stages.json for the bench_compare CI gate. The
 //     main table holds only the new-path times (larger = worse, gated
 //     against bench/golden/); the scalar times and the speedup ratios ride
@@ -29,6 +30,7 @@
 #include "common/string_util.h"
 #include "format/parallel_chunker.h"
 #include "format/parser.h"
+#include "format/structural_index.h"
 #include "format/tokenizer.h"
 #include "genomics/bam_like.h"
 #include "pipeline/thread_pool.h"
@@ -175,6 +177,37 @@ int RunGolden() {
         }};
   };
 
+  // The structural pass that finds a re-read chunk's records and tokenizes
+  // them in one scan (one range, on this thread) against the reference tier
+  // it replaces on the pipeline's path: FindLineStarts + TokenizeChunk over
+  // the same bytes. The pass reuses its slot array, as the pipeline's pool
+  // hands it one.
+  auto structural_case = [](const TextChunk& chunk, size_t columns,
+                            const char* key) {
+    TokenizeOptions opts;
+    opts.schema_fields = columns;
+    auto text = std::make_shared<TextChunk>();
+    text->data = chunk.data;
+    auto ref_text = std::make_shared<TextChunk>(*text);
+    auto slots = std::make_shared<std::vector<uint32_t>>();
+    return GoldenCase{
+        key,
+        [text, slots, opts] {
+          auto map = IndexUnquotedChunk(text.get(), opts,
+                                        ParallelTokenizeOptions{}, nullptr,
+                                        std::nullopt, std::move(*slots));
+          bench::CheckOk(map.status(), "structural pass");
+          benchmark::DoNotOptimize(*map);
+          *slots = map->TakeOffsets();
+        },
+        [ref_text, opts] {
+          FindLineStarts(ref_text->data, &ref_text->line_starts);
+          auto map = TokenizeChunk(*ref_text, opts);
+          bench::CheckOk(map.status(), "tokenize");
+          benchmark::DoNotOptimize(map);
+        }};
+  };
+
   // The checksum of every stored page and sidecar: the SSE4.2 path against
   // the portable table, over a 1 MiB page (the row times 1 MiB, not a
   // 4096-row chunk).
@@ -192,6 +225,7 @@ int RunGolden() {
   cases.push_back(tokenize_case(u32_16, 16, "tokenize/16"));
   cases.push_back(tokenize_case(u32_64, 64, "tokenize/64"));
   cases.push_back(parallel_case(u32_64, 64, "tokenize_par/64"));
+  cases.push_back(structural_case(u32_16, 16, "structural/16"));
   cases.push_back(parse_case(u32_16, Schema::AllUint32(16), "parse_u32/16"));
   cases.push_back(parse_case(u32_64, Schema::AllUint32(64), "parse_u32/64"));
   cases.push_back(parse_case(dbl_16, AllDoubleSchema(16), "parse_dbl/16"));

@@ -10,11 +10,6 @@
 
 namespace scanraw {
 
-namespace {
-
-// Range count for a region: the requested count (or pool workers + the
-// participating caller), clamped so every range is at least min_range_bytes
-// and there is at least one item per range.
 size_t NumRanges(ThreadPool* pool, size_t requested, size_t bytes,
                  size_t min_range_bytes, size_t items) {
   size_t n = requested != 0 ? requested
@@ -25,8 +20,6 @@ size_t NumRanges(ThreadPool* pool, size_t requested, size_t bytes,
   }
   return std::max<size_t>(1, std::min(n, std::max<size_t>(1, items)));
 }
-
-}  // namespace
 
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& body) {

@@ -15,9 +15,10 @@
 // so repairs are rare and the scan parallelizes almost perfectly.
 //
 // Two entry points ride on this:
-//  * ParallelFindRecordNewlines — record-boundary discovery for the READ
-//    stage (scanraw/raw_reader), where quoted newlines must not split
-//    records.
+//  * ParallelFindRecordNewlines — record-boundary discovery, where quoted
+//    newlines must not split records: in the discovery chunker
+//    (scanraw/raw_reader), and in TOKENIZE for a re-read chunk, which READ
+//    hands over as bare bytes.
 //  * ParallelTokenizeChunk — fans a chunk whose record starts are already
 //    known out over the worker pool as byte-balanced row ranges, each
 //    tokenized into disjoint rows of one shared PositionalMap. Output is
@@ -62,6 +63,12 @@ struct SpeculationStats {
 // deadlocking behind its own queue. Returns after every body call finished.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& body);
+
+// Range count for a region of `bytes` holding `items` units of work: the
+// requested count (0 = pool workers + the participating caller), clamped so
+// every range is at least min_range_bytes and holds at least one item.
+size_t NumRanges(ThreadPool* pool, size_t requested, size_t bytes,
+                 size_t min_range_bytes, size_t items);
 
 // Sequential quote-aware newline scan over data[from, end): appends the
 // offset of every record-terminating newline (those at outside-quote parity)

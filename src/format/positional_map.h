@@ -92,6 +92,13 @@ class PositionalMap {
     return map;
   }
 
+  // Hands the slot array back to whoever lent it (a buffer pool); the map is
+  // empty afterwards.
+  std::vector<uint32_t> TakeOffsets() {
+    fields_per_row_ = 0;
+    return std::move(offsets_);
+  }
+
  private:
   size_t SlotsPerRow() const {
     return explicit_ends_ ? 2 * fields_per_row_ : fields_per_row_ + 1;

@@ -71,9 +71,9 @@ inline TextChunk MakeTextChunk(std::string data,
   return chunk;
 }
 
-// Builds a TextChunk from raw bytes by locating line starts. Used by READ
-// and by tests; `data` should end at a line boundary (a trailing newline is
-// optional on the final line).
+// Builds a TextChunk from raw bytes by locating line starts. Used by the
+// simulator's calibration, tests and benches; `data` should end at a line
+// boundary (a trailing newline is optional on the final line).
 inline TextChunk MakeTextChunk(std::string data, uint64_t chunk_index = 0,
                                uint64_t file_offset = 0) {
   std::vector<uint32_t> starts;

@@ -1,10 +1,10 @@
 // ChunkBufferPool: recycles the large allocations of the READ→TOKENIZE→
-// PARSE pipeline — TextChunk text buffers, line-start vectors, and
-// ColumnVector backing arrays — so steady-state chunk processing reuses
-// capacity instead of round-tripping every chunk's buffers through the
-// allocator. Buffers are returned when the last reference to a chunk drops
-// (see WrapText / WrapChunk) and handed out again by the READ chunker and
-// the parser (via ParseOptions::recycler).
+// PARSE pipeline — TextChunk text buffers, line-start vectors, positional-map
+// slot arrays, and ColumnVector backing arrays — so steady-state chunk
+// processing reuses capacity instead of round-tripping every chunk's buffers
+// through the allocator. Buffers are returned when the last reference to a
+// chunk or map drops (see WrapText / WrapMap / WrapChunk) and handed out
+// again by READ, TOKENIZE and the parser (via ParseOptions::recycler).
 #ifndef SCANRAW_SCANRAW_CHUNK_BUFFER_POOL_H_
 #define SCANRAW_SCANRAW_CHUNK_BUFFER_POOL_H_
 
@@ -15,14 +15,18 @@
 
 #include "columnar/binary_chunk.h"
 #include "common/thread_annotations.h"
+#include "format/positional_map.h"
 #include "format/text_chunk.h"
 #include "obs/metrics.h"
 
 namespace scanraw {
 
-// Thread-safe. One pool serves all pipeline stages of a query; the free
-// lists are keyed only by buffer kind (raw text and string arenas share the
-// std::string list) because capacity transfers across roles for free.
+// Thread-safe. One pool serves all pipeline stages of a query. The column
+// lists hand out cleared buffers (string arenas and offset vectors append
+// from empty). Text buffers and map slot arrays have lists of their own and
+// come back with the length they were released with: every byte or slot is
+// overwritten before it is read, so re-reading a chunk of the same size
+// fills nothing, and resizing zero-fills only growth past the old length.
 class ChunkBufferPool : public ColumnBufferSource {
  public:
   // At most `max_pooled_per_kind` idle buffers are retained per free list;
@@ -49,14 +53,19 @@ class ChunkBufferPool : public ColumnBufferSource {
   void ReleaseString(std::string buffer) override EXCLUDES(mu_);
   void ReleaseOffsets(std::vector<uint32_t> buffer) override EXCLUDES(mu_);
 
-  // Text buffers ride the same free lists: a chunk's raw bytes are a
-  // std::string and its line starts a uint32 vector.
-  std::string AcquireText() EXCLUDES(mu_) { return AcquireString(); }
+  // A chunk's raw bytes, with the length it was released with.
+  std::string AcquireText() EXCLUDES(mu_);
+  void ReleaseTextBuffer(std::string buffer) EXCLUDES(mu_);
+  // Line starts ride the (cleared) offsets list.
   std::vector<uint32_t> AcquireLineStarts() EXCLUDES(mu_) {
     return AcquireOffsets();
   }
   // Takes the chunk's buffers back; the chunk is empty afterwards.
   void ReleaseText(TextChunk* chunk) EXCLUDES(mu_);
+
+  // A positional map's slot array, with the length it was released with.
+  std::vector<uint32_t> AcquireMapSlots() EXCLUDES(mu_);
+  void ReleaseMapSlots(std::vector<uint32_t> slots) EXCLUDES(mu_);
 
   size_t idle_buffers() const EXCLUDES(mu_);
 
@@ -67,6 +76,12 @@ class ChunkBufferPool : public ColumnBufferSource {
   static std::shared_ptr<TextChunk> WrapText(
       TextChunk chunk, std::shared_ptr<ChunkBufferPool> pool);
 
+  // Same for a positional map whose slot array came from AcquireMapSlots:
+  // PARSE and the positional-map cache may both hold it. Wrap only maps
+  // built in pooled slots, or the pool fills with arrays nothing draws.
+  static std::shared_ptr<const PositionalMap> WrapMap(
+      PositionalMap map, std::shared_ptr<ChunkBufferPool> pool);
+
   // Same for a parsed BinaryChunk handed to the engine/cache: the consumer
   // holds an ordinary BinaryChunkPtr and the columns' backing arrays come
   // home when it lets go.
@@ -74,6 +89,14 @@ class ChunkBufferPool : public ColumnBufferSource {
                                   std::shared_ptr<ChunkBufferPool> pool);
 
  private:
+  template <typename Buffer>
+  using FreeList = std::vector<Buffer> ChunkBufferPool::*;
+
+  template <typename Buffer>
+  Buffer Acquire(FreeList<Buffer> list) EXCLUDES(mu_);
+  template <typename Buffer>
+  void Release(FreeList<Buffer> list, Buffer buffer, bool keep_length)
+      EXCLUDES(mu_);
   void UpdateIdle() REQUIRES(mu_);
 
   const size_t max_pooled_;
@@ -85,6 +108,8 @@ class ChunkBufferPool : public ColumnBufferSource {
   std::vector<std::vector<uint8_t>> fixed_ GUARDED_BY(mu_);
   std::vector<std::string> strings_ GUARDED_BY(mu_);
   std::vector<std::vector<uint32_t>> offsets_ GUARDED_BY(mu_);
+  std::vector<std::string> texts_ GUARDED_BY(mu_);
+  std::vector<std::vector<uint32_t>> map_slots_ GUARDED_BY(mu_);
 };
 
 }  // namespace scanraw

@@ -70,9 +70,15 @@ struct ScanRawOptions {
   // collapses doubled quotes in string fields.
   bool quoted_fields = false;
 
-  // Pipeline buffer capacities, in chunks.
-  size_t text_buffer_capacity = 8;
-  size_t position_buffer_capacity = 8;
+  // Text buffer capacity, in chunks: READ only reads, and a raw chunk holds
+  // a text-buffer slot from READ's claim until its PARSE returns, because
+  // PARSE reads the text. READ stops when a query holds this many raw
+  // chunks; that is "READ blocked", where §4's speculative-WRITE trigger is
+  // checked. The bound also caps the position buffer (every tokenized chunk
+  // still holds its slot) and the raw text in memory, which a cheap READ
+  // would otherwise fill by running ahead of conversion.
+  size_t text_buffer_capacity = 3;
+  // Output buffer capacity, in converted chunks waiting for the engine.
   size_t output_buffer_capacity = 8;
 
   // Binary chunk cache capacity, in chunks (0 disables caching). Eviction

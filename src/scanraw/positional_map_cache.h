@@ -50,12 +50,13 @@ class PositionalMapCache {
   std::shared_ptr<const PositionalMap> Lookup(
       uint64_t chunk_index, const PosmapDialect& dialect,
       PosmapOrigin* origin = nullptr) EXCLUDES(mu_) {
+    Dropped dropped;
     MutexLock lock(mu_);
     auto it = entries_.find(chunk_index);
     if (it != entries_.end() && it->second.dialect != dialect) {
       dialect_drops_.fetch_add(1, std::memory_order_relaxed);
       if (dialect_drop_counter_ != nullptr) dialect_drop_counter_->Add(1);
-      EraseLocked(it);
+      dropped.push_back(EraseLocked(it));
       it = entries_.end();
     }
     if (it == entries_.end()) {
@@ -83,6 +84,7 @@ class PositionalMapCache {
               PosmapOrigin origin = PosmapOrigin::kBuilt) EXCLUDES(mu_) {
     if (capacity_ == 0 || map == nullptr) return;
     const size_t incoming_bytes = map->MemoryBytes();
+    Dropped dropped;
     MutexLock lock(mu_);
     auto it = entries_.find(chunk_index);
     if (it != entries_.end()) {
@@ -93,18 +95,19 @@ class PositionalMapCache {
       }
       bytes_ -= entry.map->MemoryBytes();
       bytes_ += incoming_bytes;
+      dropped.push_back(std::move(entry.map));
       entry.map = std::move(map);
       entry.dialect = dialect;
       entry.origin = origin;
       fifo_.splice(fifo_.end(), fifo_, entry.fifo_pos);
-      EvictLocked(chunk_index);
+      EvictLocked(chunk_index, &dropped);
       return;
     }
     // Make room first so the new entry itself is never the eviction victim.
     while (!fifo_.empty() &&
            (entries_.size() >= capacity_ ||
             (capacity_bytes_ > 0 && bytes_ + incoming_bytes > capacity_bytes_))) {
-      entries_.erase(PopFrontLocked());
+      dropped.push_back(EraseLocked(entries_.find(fifo_.front())));
     }
     Entry entry;
     entry.map = std::move(map);
@@ -168,28 +171,29 @@ class PositionalMapCache {
     std::list<uint64_t>::iterator fifo_pos;
   };
 
-  void EraseLocked(std::map<uint64_t, Entry>::iterator it) REQUIRES(mu_) {
-    bytes_ -= it->second.map->MemoryBytes();
+  // Maps leaving the cache, dropped only after mu_ is released: the last
+  // reference to a map built in pooled slots returns them to the buffer
+  // pool, whose lock ranks above this one. Declare before the MutexLock.
+  using Dropped = std::vector<std::shared_ptr<const PositionalMap>>;
+
+  // Erases the entry and hands its map to the caller.
+  std::shared_ptr<const PositionalMap> EraseLocked(
+      std::map<uint64_t, Entry>::iterator it) REQUIRES(mu_) {
+    std::shared_ptr<const PositionalMap> map = std::move(it->second.map);
+    bytes_ -= map->MemoryBytes();
     fifo_.erase(it->second.fifo_pos);
     entries_.erase(it);
-  }
-
-  // Pops the FIFO head and returns its key; the caller erases the entry.
-  uint64_t PopFrontLocked() REQUIRES(mu_) {
-    const uint64_t victim = fifo_.front();
-    fifo_.pop_front();
-    bytes_ -= entries_.at(victim).map->MemoryBytes();
-    return victim;
+    return map;
   }
 
   // Evicts until both bounds hold, never evicting `keep` (the entry that
   // was just widened — it sits at the FIFO tail, so it is only reachable
   // here when it is the sole entry left).
-  void EvictLocked(uint64_t keep) REQUIRES(mu_) {
+  void EvictLocked(uint64_t keep, Dropped* dropped) REQUIRES(mu_) {
     while (!fifo_.empty() && fifo_.front() != keep &&
            (entries_.size() > capacity_ ||
             (capacity_bytes_ > 0 && bytes_ > capacity_bytes_))) {
-      entries_.erase(PopFrontLocked());
+      dropped->push_back(EraseLocked(entries_.find(fifo_.front())));
     }
   }
 

@@ -111,7 +111,7 @@ Result<std::optional<TextChunk>> SequentialChunker::Next() {
   carry_.assign(data, cut, std::string::npos);
   data.resize(cut);
   if (data.empty()) {
-    if (pool_ != nullptr) pool_->ReleaseString(std::move(data));
+    if (pool_ != nullptr) pool_->ReleaseTextBuffer(std::move(data));
     return std::optional<TextChunk>();
   }
 
@@ -136,52 +136,20 @@ Result<std::optional<TextChunk>> SequentialChunker::Next() {
 
 Result<TextChunk> ReadChunkAt(const RandomAccessFile& file,
                               const ChunkMetadata& meta,
-                              ChunkBufferPool* pool, RecordDialect dialect,
-                              ThreadPool* scan_pool,
-                              SpeculationStats* spec_stats) {
-  std::string data;
-  if (pool != nullptr) data = pool->AcquireText();
-  data.resize(meta.raw_size);
-  auto n = file.ReadAt(meta.raw_offset, meta.raw_size, data.data());
+                              ChunkBufferPool* pool) {
+  TextChunk chunk;
+  chunk.chunk_index = meta.chunk_index;
+  chunk.file_offset = meta.raw_offset;
+  // A recycled buffer keeps its length, so only growth is zero-filled.
+  if (pool != nullptr) chunk.data = pool->AcquireText();
+  chunk.data.resize(meta.raw_size);
+  auto n = file.ReadAt(meta.raw_offset, meta.raw_size, chunk.data.data());
   if (!n.ok()) return n.status();
   if (*n != meta.raw_size) {
     return Status::Corruption(StringPrintf(
         "short read of chunk %llu: got %zu of %llu bytes",
         static_cast<unsigned long long>(meta.chunk_index), *n,
         static_cast<unsigned long long>(meta.raw_size)));
-  }
-  std::vector<uint32_t> starts;
-  if (pool != nullptr) starts = pool->AcquireLineStarts();
-  if (!dialect.quoted) {
-    FindLineStarts(data, &starts);
-  } else {
-    // Chunk extents were cut at record boundaries during discovery, so the
-    // buffer starts at outside-quote parity; record starts follow every
-    // record-terminating newline (except a final-byte terminator).
-    RecordScanOptions sopts;
-    sopts.dialect = dialect;
-    sopts.pool = scan_pool;
-    std::vector<uint32_t> record_newlines;
-    ParallelFindRecordNewlines(data.data(), 0, data.size(),
-                               /*start_inside=*/false, sopts, spec_stats,
-                               &record_newlines);
-    starts.clear();
-    if (!data.empty()) {
-      starts.push_back(0);
-      for (const uint32_t nl : record_newlines) {
-        const size_t next_record = static_cast<size_t>(nl) + 1;
-        if (next_record >= data.size()) break;
-        starts.push_back(static_cast<uint32_t>(next_record));
-      }
-    }
-  }
-  TextChunk chunk = MakeTextChunk(std::move(data), std::move(starts),
-                                  meta.chunk_index, meta.raw_offset);
-  if (chunk.num_rows() != meta.num_rows) {
-    return Status::Corruption(StringPrintf(
-        "chunk %llu: expected %llu rows, found %zu",
-        static_cast<unsigned long long>(meta.chunk_index),
-        static_cast<unsigned long long>(meta.num_rows), chunk.num_rows()));
   }
   return chunk;
 }

@@ -1,5 +1,5 @@
 // READ-stage helpers: sequential chunking of a never-before-seen raw file
-// (layout discovery) and positional re-reads of known chunks.
+// (layout discovery) and positional reads of known chunks.
 #ifndef SCANRAW_SCANRAW_RAW_READER_H_
 #define SCANRAW_SCANRAW_RAW_READER_H_
 
@@ -64,16 +64,13 @@ class SequentialChunker {
   bool eof_ = false;
 };
 
-// Re-reads one chunk of a file whose layout is already in the catalog. The
-// dialect/scan_pool/spec_stats trio mirrors SequentialChunker::Open: with a
-// quoted dialect, record starts come from the (optionally parallel
-// speculative) quote-parity scan instead of the plain newline split.
+// READ of one chunk of a file whose layout is already in the catalog: a bare
+// read of its bytes into a (pooled) buffer. The chunk carries no line
+// starts; TOKENIZE finds its records and checks their count against the
+// catalog's. A read shorter than the recorded extent is Corruption.
 Result<TextChunk> ReadChunkAt(const RandomAccessFile& file,
                               const ChunkMetadata& meta,
-                              ChunkBufferPool* pool = nullptr,
-                              RecordDialect dialect = RecordDialect(),
-                              ThreadPool* scan_pool = nullptr,
-                              SpeculationStats* spec_stats = nullptr);
+                              ChunkBufferPool* pool = nullptr);
 
 }  // namespace scanraw
 

@@ -17,6 +17,7 @@
 #include "format/parallel_chunker.h"
 #include "format/parser.h"
 #include "format/json_tokenizer.h"
+#include "format/structural_index.h"
 #include "format/tokenizer.h"
 #include "pipeline/thread_pool.h"
 #include "pipeline/ticker.h"
@@ -146,9 +147,11 @@ void PipelineProfile::Reset() {
 // this query claim steps, READ first, then TOKENIZE, then PARSE; with
 // num_workers = 0 the caller claims them inside Next(), the paper's
 // sequential configuration. A step is claimed only when the buffer it fills
-// has room, so no task ever blocks on a full buffer: READ stops when the text
-// buffer fills (the §4 speculative-WRITE trigger), and the TOKENIZE step that
-// drains a slot makes READ claimable again.
+// has room, so no task ever blocks on a full buffer. READ only reads; the
+// raw chunk it fills holds one text-buffer slot from READ's claim until its
+// PARSE returns, because PARSE reads the text. READ stops when the run holds
+// text_buffer_capacity raw chunks (the §4 speculative-WRITE trigger), and
+// the PARSE that frees a slot makes READ claimable again.
 struct ScanRaw::QueryRun::Impl {
   struct Tokenized {
     std::shared_ptr<TextChunk> text;
@@ -253,8 +256,6 @@ struct ScanRaw::QueryRun::Impl {
         max_tasks(parent_op->options_.num_workers),
         text_capacity(
             std::max<size_t>(1, parent_op->options_.text_buffer_capacity)),
-        pos_capacity(
-            std::max<size_t>(1, parent_op->options_.position_buffer_capacity)),
         out_capacity(
             std::max<size_t>(1, parent_op->options_.output_buffer_capacity)),
         json(parent_op->options_.raw_format == RawFormat::kJsonLines),
@@ -368,13 +369,14 @@ struct ScanRaw::QueryRun::Impl {
     ResourceSnapshot snapshot;
     {
       MutexLock lock(mu);
-      snapshot.text_buffer_size = text.size();
+      snapshot.text_buffer_size = held;
       snapshot.position_buffer_size = pos.size();
       snapshot.output_buffer_size = out.size();
       snapshot.busy_workers = runners - queued_runners;
     }
     snapshot.text_buffer_capacity = text_capacity;
-    snapshot.position_buffer_capacity = pos_capacity;
+    // Every chunk in the position buffer is a held text chunk.
+    snapshot.position_buffer_capacity = text_capacity;
     snapshot.output_buffer_capacity = out_capacity;
     snapshot.num_workers = max_tasks;
     snapshot.cache_size = parent->cache_.size();
@@ -434,15 +436,13 @@ struct ScanRaw::QueryRun::Impl {
 
   // A step is claimable when the buffer it fills has a free slot. READ
   // fetches database chunks straight into the output buffer and raw chunks
-  // into the text buffer.
+  // into the text buffer, whose slots the held raw chunks fill.
   bool ReadClaimable() const REQUIRES(mu) {
     if (read_busy || read_done) return false;
     return next_read < db_count ? out.size() < out_capacity
-                                : text.size() < text_capacity;
+                                : held < text_capacity;
   }
-  bool TokenizeClaimable() const REQUIRES(mu) {
-    return !text.empty() && pos.size() + tokenizing < pos_capacity;
-  }
+  bool TokenizeClaimable() const REQUIRES(mu) { return !text.empty(); }
   bool ParseClaimable() const REQUIRES(mu) {
     return !pos.empty() && out.size() + parsing < out_capacity;
   }
@@ -455,15 +455,17 @@ struct ScanRaw::QueryRun::Impl {
     if (ReadClaimable()) {
       read_busy = true;
       if (!meta.layout_known) {
+        read_holds_slot = true;
         step = [this] { DiscoveryStep(); };
       } else {
         const ChunkMetadata* cm = to_read[next_read];
         const bool from_db = next_read++ < db_count;
         read_done = next_read == to_read.size();
+        read_holds_slot = !from_db;
         step = [this, cm, from_db] { from_db ? DbStep(*cm) : RawStep(*cm); };
       }
+      if (read_holds_slot) ++held;
     } else if (TokenizeClaimable()) {
-      ++tokenizing;
       step = [this, chunk = PopFront(text)]() mutable {
         TokenizeStep(std::move(chunk));
       };
@@ -531,8 +533,7 @@ struct ScanRaw::QueryRun::Impl {
 
   // Every raw chunk is converted and delivered or buffered for delivery.
   bool ScanCompleteLocked() const REQUIRES(mu) {
-    return read_done && !read_busy && text.empty() && pos.empty() &&
-           tokenizing == 0 && parsing == 0;
+    return read_done && !read_busy && held == 0;
   }
 
   // Cache hits go to the caller without a hand-off; then the output buffer.
@@ -621,8 +622,9 @@ struct ScanRaw::QueryRun::Impl {
   }
 
   // Ends a READ step: a database chunk joins the output buffer, a raw chunk
-  // the text buffer. A raw chunk that fills the text buffer stops READ with
-  // the disk idle, which is when §4 triggers a speculative WRITE.
+  // the text buffer. A raw chunk that takes the last free text-buffer slot
+  // stops READ with the disk idle, which is when §4 triggers a speculative
+  // WRITE. A raw READ that produced no chunk gives its slot back.
   void EndRead(std::optional<TextChunk> raw, BinaryChunkPtr db, bool last) {
     const uint64_t raw_index = raw.has_value() ? raw->chunk_index : 0;
     bool blocked = false;
@@ -636,8 +638,11 @@ struct ScanRaw::QueryRun::Impl {
       if (db != nullptr) out.push_back(std::move(db));
       if (raw.has_value()) {
         text.push_back(std::move(*raw));
-        blocked = text.size() >= text_capacity;
+        blocked = held >= text_capacity;
+      } else if (read_holds_slot) {
+        --held;
       }
+      read_holds_slot = false;
       spawn = SpawnLocked();
       cv.NotifyAll();
     }
@@ -727,10 +732,7 @@ struct ScanRaw::QueryRun::Impl {
     {
       ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
       StageRecord stage(parent, obs::QueryStage::kRead);
-      SpeculationStats spec;
-      auto read = ReadChunkAt(*raw_file, cm, parent->buffer_pool_.get(),
-                              Dialect(), ScanPool(), &spec);
-      AddSpeculation(spec);
+      auto read = ReadChunkAt(*raw_file, cm, parent->buffer_pool_.get());
       if (!read.ok()) return ReadFailed(read.status());
       chunk = std::move(*read);
       stage.Record(this, {.chunk_index = cm.chunk_index,
@@ -741,11 +743,6 @@ struct ScanRaw::QueryRun::Impl {
   }
 
   void TokenizeStep(TextChunk chunk) {
-    // The chunk is shared by the TOKENIZE and PARSE steps; wrapping it
-    // through the pool returns its text buffer for reuse only when the last
-    // holder lets go.
-    auto text =
-        ChunkBufferPool::WrapText(std::move(chunk), parent->buffer_pool_);
     // Positional map cache (§2): a cached map that already covers the needed
     // fields skips TOKENIZE outright; a partial one is extended from its last
     // mapped attribute. A map cached under a different dialect is dropped by
@@ -754,7 +751,7 @@ struct ScanRaw::QueryRun::Impl {
     std::shared_ptr<const PositionalMap> map;
     if (use_map_cache) {
       PosmapOrigin origin = PosmapOrigin::kBuilt;
-      map = parent->positional_maps_.Lookup(text->chunk_index, map_dialect,
+      map = parent->positional_maps_.Lookup(chunk.chunk_index, map_dialect,
                                             &origin);
       if (map != nullptr) {
         posmap_hits.fetch_add(1, std::memory_order_relaxed);
@@ -766,44 +763,111 @@ struct ScanRaw::QueryRun::Impl {
       }
     }
     if (map == nullptr || map->fields_per_row() < topts.EffectiveFields()) {
-      auto built = Tokenize(*text, map.get());
+      auto built = Tokenize(&chunk, map.get());
       // The extend path scans only the unmapped suffix, but the whole chunk
       // was subjected to TOKENIZE-stage work; count it all — the
       // fully-mapped skip path above is the only zero-byte outcome.
-      Add(&ChunkCounts::bytes_tokenized, text->data.size());
+      Add(&ChunkCounts::bytes_tokenized, chunk.data.size());
       map.reset();
       if (built.ok()) {
-        auto shared = std::make_shared<PositionalMap>(std::move(*built));
+        map = std::move(*built);
         if (use_map_cache) {
-          parent->positional_maps_.Insert(text->chunk_index, shared,
+          parent->positional_maps_.Insert(chunk.chunk_index, map,
                                           map_dialect);
         }
-        map = std::move(shared);
       } else {
         ReportError(built.status());
       }
     }
+    // The chunk is shared by the TOKENIZE and PARSE steps; wrapping it
+    // through the pool returns its text buffer for reuse only when the last
+    // holder lets go (outside this run's lock).
+    auto text =
+        ChunkBufferPool::WrapText(std::move(chunk), parent->buffer_pool_);
     bool spawn = false;
     {
       MutexLock lock(mu);
-      --tokenizing;
-      if (map != nullptr) pos.push_back(Tokenized{text, std::move(map)});
+      if (map != nullptr) {
+        pos.push_back(Tokenized{std::move(text), std::move(map)});
+      } else {
+        --held;  // dropped on an error: its slot is free
+      }
       spawn = SpawnLocked();
     }
     SubmitRunner(spawn);
   }
 
-  // TOKENIZE of one chunk, extending `partial` (a cached map missing some
-  // needed fields) when there is one.
-  Result<PositionalMap> Tokenize(const TextChunk& text,
-                                 const PositionalMap* partial) {
+  // The catalog's record count for a chunk of a known layout; none during
+  // discovery, whose chunker counted the records itself.
+  std::optional<uint64_t> ExpectedRows(const TextChunk& text) const {
+    if (!meta.layout_known || text.chunk_index >= meta.chunks.size()) {
+      return std::nullopt;
+    }
+    return meta.chunks[text.chunk_index].num_rows;
+  }
+
+  // Record starts of a JSON-lines or quoted chunk that READ handed over as
+  // bare bytes: split at newlines, or at newlines outside quotes by the
+  // (speculative parallel) record scan. Their count must match the
+  // catalog's. A discovery chunk arrives with the starts its chunker found.
+  Status FindRecords(TextChunk* text, SpeculationStats* spec) {
+    if (!text->line_starts.empty() || text->data.empty()) return Status::OK();
+    std::vector<uint32_t>& starts = text->line_starts;
+    starts = parent->buffer_pool_->AcquireLineStarts();
+    if (json) {
+      FindLineStarts(text->data, &starts);
+    } else {
+      // Chunk extents were cut at record boundaries, so the buffer starts at
+      // outside-quote parity. Every record-terminating newline opens the
+      // next record, except a final-byte terminator.
+      RecordScanOptions sopts;
+      sopts.dialect = Dialect();
+      sopts.pool = ScanPool();
+      starts.push_back(0);
+      ParallelFindRecordNewlines(text->data.data(), 0, text->data.size(),
+                                 /*start_inside=*/false, sopts, spec, &starts);
+      for (size_t i = 1; i < starts.size(); ++i) ++starts[i];
+      if (starts.back() == text->data.size()) starts.pop_back();
+    }
+    const std::optional<uint64_t> expected = ExpectedRows(*text);
+    if (expected.has_value() && *expected != text->num_rows()) {
+      return RowCountMismatch(text->chunk_index, *expected, text->num_rows());
+    }
+    return Status::OK();
+  }
+
+  static Result<std::shared_ptr<const PositionalMap>> Share(
+      Result<PositionalMap> map) {
+    if (!map.ok()) return map.status();
+    return std::shared_ptr<const PositionalMap>(
+        std::make_shared<const PositionalMap>(std::move(*map)));
+  }
+
+  // TOKENIZE of one chunk: finds its records when READ handed over bare
+  // bytes, checks their count against the catalog's, and builds the
+  // positional map, extending `partial` (a cached map missing some needed
+  // fields) when there is one.
+  Result<std::shared_ptr<const PositionalMap>> Tokenize(
+      TextChunk* text, const PositionalMap* partial) {
     StageRecord stage(parent, obs::QueryStage::kTokenize);
     bool ranged = false;
-    auto map = [&]() -> Result<PositionalMap> {
-      if (json) return TokenizeJsonChunk(text, meta.schema);
-      // Delimited text: extend a cached partial map when available.
+    auto map = [&]() -> Result<std::shared_ptr<const PositionalMap>> {
+      if (json) {
+        SCANRAW_RETURN_IF_ERROR(FindRecords(text, nullptr));
+        return Share(TokenizeJsonChunk(*text, meta.schema));
+      }
+      // Delimited text: extend a cached partial map when available. A
+      // re-read chunk has no line starts; the first slot of each of the
+      // map's rows is that row's start.
       if (partial != nullptr && !partial->explicit_ends()) {
-        return ExtendTokenizeMap(text, *partial, topts);
+        if (text->line_starts.empty()) {
+          text->line_starts = parent->buffer_pool_->AcquireLineStarts();
+          text->line_starts.resize(partial->num_rows());
+          for (size_t r = 0; r < partial->num_rows(); ++r) {
+            text->line_starts[r] = partial->FieldStart(r, 0);
+          }
+        }
+        return Share(ExtendTokenizeMap(*text, *partial, topts));
       }
       // A full TOKENIZE fans byte ranges out over idle pool workers (one
       // range for a small chunk or without a pool) while this step claims
@@ -818,13 +882,30 @@ struct ScanRaw::QueryRun::Impl {
                             obs::CurrentThreadId(), start, dur);
       };
       SpeculationStats spec;
-      auto full = ParallelTokenizeChunk(text, topts, ptopts, &spec);
+      if (topts.quoted) {
+        // The record scan is not ranged; it gets a span of its own.
+        const int64_t t0 = RealClock::Instance()->NowNanos();
+        const Status found = FindRecords(text, &spec);
+        profiler.RecordSpan(obs::QueryStage::kTokenize, obs::CurrentThreadId(),
+                            t0, RealClock::Instance()->NowNanos() - t0);
+        auto full = found.ok()
+                        ? ParallelTokenizeChunk(*text, topts, ptopts, &spec)
+                        : Result<PositionalMap>(found);
+        AddSpeculation(spec);
+        return Share(std::move(full));
+      }
+      // Unquoted text: one structural pass finds the records and fills a
+      // map whose slot array comes from, and returns to, the pool.
+      auto full = IndexUnquotedChunk(text, topts, ptopts, &spec,
+                                     ExpectedRows(*text),
+                                     parent->buffer_pool_->AcquireMapSlots());
       AddSpeculation(spec);
-      return full;
+      if (!full.ok()) return full.status();
+      return ChunkBufferPool::WrapMap(std::move(*full), parent->buffer_pool_);
     }();
     if (map.ok()) {
-      stage.Record(this, {.chunk_index = text.chunk_index,
-                          .rows = map->num_rows(),
+      stage.Record(this, {.chunk_index = text->chunk_index,
+                          .rows = (*map)->num_rows(),
                           .ranged = ranged});
     }
     return map;
@@ -861,6 +942,7 @@ struct ScanRaw::QueryRun::Impl {
     {
       MutexLock lock(mu);
       --parsing;
+      --held;  // PARSE is done with the text: its slot is free
       if (chunk != nullptr) out.push_back(std::move(chunk));
       spawn = SpawnLocked();
       cv.NotifyAll();
@@ -978,8 +1060,7 @@ struct ScanRaw::QueryRun::Impl {
   const std::optional<RangePredicate> skip_filter;
   const TableMetadata meta;
   const size_t max_tasks;  // num_workers: this query's concurrent runners
-  const size_t text_capacity;
-  const size_t pos_capacity;
+  const size_t text_capacity;  // raw chunks the run may hold
   const size_t out_capacity;
   const bool json;
   const TokenizeOptions topts;
@@ -1012,10 +1093,13 @@ struct ScanRaw::QueryRun::Impl {
   std::deque<TextChunk> text GUARDED_BY(mu);
   std::deque<Tokenized> pos GUARDED_BY(mu);
   std::deque<BinaryChunkPtr> out GUARDED_BY(mu);
+  // Raw chunks from READ's claim until their PARSE returns (or the chunk is
+  // dropped on an error): the text buffer's occupied slots.
+  size_t held GUARDED_BY(mu) = 0;
   size_t next_read GUARDED_BY(mu) = 0;
   bool read_busy GUARDED_BY(mu) = false;
+  bool read_holds_slot GUARDED_BY(mu) = false;  // the running READ is raw
   bool read_done GUARDED_BY(mu) = false;
-  size_t tokenizing GUARDED_BY(mu) = 0;
   size_t parsing GUARDED_BY(mu) = 0;
   // Runner tasks submitted and not yet exited; queued_runners of them have
   // not started.

@@ -146,7 +146,6 @@ TEST(StressTest, RandomConfigurationsMatchReference) {
     options.cache_capacity_chunks = rng.Uniform(9);  // 0..8
     options.chunk_rows = 97 + rng.Uniform(1400);     // odd, non-power-of-2
     options.text_buffer_capacity = 1 + rng.Uniform(8);
-    options.position_buffer_capacity = 1 + rng.Uniform(8);
     options.output_buffer_capacity = 1 + rng.Uniform(8);
     options.cache_positional_maps = rng.OneIn(2);
     options.collect_sketches = rng.OneIn(2);

@@ -169,13 +169,31 @@ TEST_F(ScanRawTest, BufferedLoadingWritesOnEviction) {
   EXPECT_EQ(loaded, kRows / kChunkRows - options.cache_capacity_chunks);
 }
 
+// §4's trigger fires in the real pipeline with default buffers: a
+// sequential speculative-loading scan over 8 chunks holds at most
+// text_buffer_capacity raw chunks, so READ blocks while converted, unloaded
+// chunks already wait in the cache.
+TEST_F(ScanRawTest, SpeculativeTriggerFiresWithDefaultBuffers) {
+  ScanRawOptions options;  // speculative loading, default buffers and cache
+  options.num_workers = 0;
+  options.chunk_rows = kChunkRows;
+  auto manager = MakeManager(options);
+  auto result = manager->Query("t", SumAllQuery());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_sum, info_.total_sum);
+  ScanRaw* op = manager->GetOperator("t");
+  ASSERT_NE(op, nullptr);
+  op->WaitForWrites();
+  EXPECT_GT(op->profile().read_blocked_events.load(), 0u);
+  EXPECT_GT(op->profile().speculative_triggers.load(), 0u);
+}
+
 TEST_F(ScanRawTest, SafeguardDisabledMayStall) {
   auto options = BaseOptions(LoadPolicy::kSpeculativeLoading);
   options.safeguard_enabled = false;
   // Huge buffers: READ never blocks, so no speculative trigger fires and,
   // without the safeguard, nothing is ever loaded.
   options.text_buffer_capacity = 64;
-  options.position_buffer_capacity = 64;
   options.output_buffer_capacity = 64;
   auto manager = MakeManager(options);
   for (int q = 0; q < 3; ++q) {

@@ -360,12 +360,11 @@ TEST(ManagerTelemetryTest, TracerRecordsFullChunkLifecycle) {
 TEST(ManagerTelemetryTest, EachSpeculativeTriggerLeavesOneFlightEvent) {
   obs::FlightRecorder::Global()->ResetForTest();
   ScanRawOptions options = BaseOptions();
-  // Sequential, one slot per buffer: READ blocks after every chunk (the §4
-  // trigger point), and from the third chunk on a parsed, unloaded chunk
+  // Sequential, one text-buffer slot: READ blocks after every chunk (the §4
+  // trigger point), and from the second chunk on a parsed, unloaded chunk
   // waits in the cache to be written.
   options.num_workers = 0;
   options.text_buffer_capacity = 1;
-  options.position_buffer_capacity = 1;
   auto f = Fixture::Make("spec_trigger", options);
   QuerySpec q;
   for (size_t c = 0; c < 8; ++c) q.sum_columns.push_back(c);

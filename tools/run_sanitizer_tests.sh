@@ -50,7 +50,8 @@ if [ "${#TESTS[@]}" -eq 0 ] && [ "${SAN}" = "tsan" ]; then
          positional_map_cache_test
          query_log_test flight_recorder_test workload_test
          timeseries_test log_test watchdog_test stats_server_test
-         lock_discipline_test parallel_chunker_test hotpath_equivalence_test)
+         lock_discipline_test parallel_chunker_test hotpath_equivalence_test
+         structural_index_test)
 fi
 
 if [ "${#TESTS[@]}" -eq 0 ]; then
