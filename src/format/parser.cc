@@ -412,14 +412,12 @@ Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
       return Status::InvalidArgument("push-down filter on string column");
     }
   }
-  // The map's rows are the chunk's rows. A chunk whose map came from the
-  // positional-map cache skipped TOKENIZE and carries no line starts.
-  if (!chunk.line_starts.empty() && map.num_rows() != chunk.num_rows()) {
+  if (map.num_rows() != chunk.num_rows()) {
     return Status::InvalidArgument("positional map / chunk row mismatch");
   }
 
   const std::string_view data(chunk.data);
-  const size_t num_rows = map.num_rows();
+  const size_t num_rows = chunk.num_rows();
 
   // Push-down selection first (§2): one typed pass over the predicate
   // column produces the row selection every projected column then honors.

@@ -40,8 +40,7 @@ struct ParseOptions {
   char quote = '"';
 };
 
-// Parses the projected columns of `chunk` into a BinaryChunk. The rows are
-// the map's; a chunk that carries line starts must agree with them. When a
+// Parses the projected columns of `chunk` into a BinaryChunk. When a
 // push-down filter is set, rows failing it are dropped (the result's row
 // count can be smaller than the chunk's).
 Result<BinaryChunk> ParseChunk(const TextChunk& chunk,

@@ -76,7 +76,11 @@ class PositionalMap {
     offsets_[r * SlotsPerRow() + 2 * f + 1] = end;
   }
 
-  size_t MemoryBytes() const { return offsets_.size() * sizeof(uint32_t); }
+  // The slot array's allocation, not its length: a map built in a recycled,
+  // larger array holds all of it.
+  size_t MemoryBytes() const {
+    return offsets_.capacity() * sizeof(uint32_t);
+  }
 
   // Serialization access: the raw slot array, layout-agnostic.
   const std::vector<uint32_t>& raw_offsets() const { return offsets_; }

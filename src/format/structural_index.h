@@ -27,9 +27,9 @@
 namespace scanraw {
 
 // The mask kernels, slowest first. A pass runs the best one the host
-// supports (portable only in SCANRAW_SIMD=OFF builds); tests switch kernels
-// to cover every one the host can run.
-enum class StructuralKernel { kPortable, kAvx2, kAvx512 };
+// supports (portable only in SCANRAW_SIMD=OFF builds or without AVX2);
+// tests switch kernels to cover every one the host can run.
+enum class StructuralKernel { kPortable, kAvx2 };
 StructuralKernel BestStructuralKernel();
 // Makes later passes run `kernel`, which must be at most
 // BestStructuralKernel(). Not for use while a pass runs.
@@ -45,7 +45,8 @@ Status RowCountMismatch(uint64_t chunk_index, uint64_t expected, size_t found);
 // same first error. When `expected_rows` is set and the chunk holds another
 // number of records, returns RowCountMismatch before tokenizing any row. The
 // map is built in `slots` (a recycled slot array, or empty); its length is
-// kept up to the size the map needs, so only growth is zero-filled.
+// kept up to the size the map needs, so only growth is zero-filled. An
+// array more than twice that size is freed and the map built afresh.
 // `parallel_options` splits the byte ranges as for ParallelTokenizeChunk;
 // range_span fires once per range for each of the two phases.
 Result<PositionalMap> IndexUnquotedChunk(

@@ -778,6 +778,11 @@ struct ScanRaw::QueryRun::Impl {
       } else {
         ReportError(built.status());
       }
+    } else if (Status found = FindRecordsInSpan(&chunk); !found.ok()) {
+      // A full hit skips TOKENIZE but not record discovery: the re-read
+      // bytes must still hold the records the catalog and the map count.
+      ReportError(found);
+      map.reset();
     }
     // The chunk is shared by the TOKENIZE and PARSE steps; wrapping it
     // through the pool returns its text buffer for reuse only when the last
@@ -806,15 +811,16 @@ struct ScanRaw::QueryRun::Impl {
     return meta.chunks[text.chunk_index].num_rows;
   }
 
-  // Record starts of a JSON-lines or quoted chunk that READ handed over as
-  // bare bytes: split at newlines, or at newlines outside quotes by the
-  // (speculative parallel) record scan. Their count must match the
-  // catalog's. A discovery chunk arrives with the starts its chunker found.
+  // Record starts of a chunk that READ handed over as bare bytes, for every
+  // path but the structural pass: split at newlines, or at newlines outside
+  // quotes by the (speculative parallel) record scan. Their count must match
+  // the catalog's. A discovery chunk arrives with the starts its chunker
+  // found.
   Status FindRecords(TextChunk* text, SpeculationStats* spec) {
     if (!text->line_starts.empty() || text->data.empty()) return Status::OK();
     std::vector<uint32_t>& starts = text->line_starts;
     starts = parent->buffer_pool_->AcquireLineStarts();
-    if (json) {
+    if (!Dialect().quoted) {
       FindLineStarts(text->data, &starts);
     } else {
       // Chunk extents were cut at record boundaries, so the buffer starts at
@@ -834,6 +840,18 @@ struct ScanRaw::QueryRun::Impl {
       return RowCountMismatch(text->chunk_index, *expected, text->num_rows());
     }
     return Status::OK();
+  }
+
+  // FindRecords outside a ranged TOKENIZE or a stage record: its time is a
+  // TOKENIZE span of its own, and its speculation counts go to the run.
+  Status FindRecordsInSpan(TextChunk* text) {
+    SpeculationStats spec;
+    const int64_t t0 = RealClock::Instance()->NowNanos();
+    const Status found = FindRecords(text, &spec);
+    profiler.RecordSpan(obs::QueryStage::kTokenize, obs::CurrentThreadId(), t0,
+                        RealClock::Instance()->NowNanos() - t0);
+    AddSpeculation(spec);
+    return found;
   }
 
   static Result<std::shared_ptr<const PositionalMap>> Share(
@@ -856,17 +874,13 @@ struct ScanRaw::QueryRun::Impl {
         SCANRAW_RETURN_IF_ERROR(FindRecords(text, nullptr));
         return Share(TokenizeJsonChunk(*text, meta.schema));
       }
-      // Delimited text: extend a cached partial map when available. A
-      // re-read chunk has no line starts; the first slot of each of the
-      // map's rows is that row's start.
+      // Delimited text: extend a cached partial map when available, over
+      // the records found in the re-read bytes.
       if (partial != nullptr && !partial->explicit_ends()) {
-        if (text->line_starts.empty()) {
-          text->line_starts = parent->buffer_pool_->AcquireLineStarts();
-          text->line_starts.resize(partial->num_rows());
-          for (size_t r = 0; r < partial->num_rows(); ++r) {
-            text->line_starts[r] = partial->FieldStart(r, 0);
-          }
-        }
+        SpeculationStats spec;
+        const Status found = FindRecords(text, &spec);
+        AddSpeculation(spec);
+        SCANRAW_RETURN_IF_ERROR(found);
         return Share(ExtendTokenizeMap(*text, *partial, topts));
       }
       // A full TOKENIZE fans byte ranges out over idle pool workers (one
@@ -884,10 +898,7 @@ struct ScanRaw::QueryRun::Impl {
       SpeculationStats spec;
       if (topts.quoted) {
         // The record scan is not ranged; it gets a span of its own.
-        const int64_t t0 = RealClock::Instance()->NowNanos();
-        const Status found = FindRecords(text, &spec);
-        profiler.RecordSpan(obs::QueryStage::kTokenize, obs::CurrentThreadId(),
-                            t0, RealClock::Instance()->NowNanos() - t0);
+        const Status found = FindRecordsInSpan(text);
         auto full = found.ok()
                         ? ParallelTokenizeChunk(*text, topts, ptopts, &spec)
                         : Result<PositionalMap>(found);

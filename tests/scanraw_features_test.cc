@@ -179,6 +179,47 @@ TEST(PositionalMapCacheTest, PartialMapsExtended) {
   EXPECT_EQ(r2->total_sum, f.info.column_sums[0] + f.info.column_sums[1]);
 }
 
+// The cache's byte bound counts the slot arrays the maps really hold. Maps
+// are built in recycled arrays: a narrower query after a wider one draws the
+// wider one's arrays, which the pass uses only up to twice the map's size.
+TEST(PositionalMapCacheTest, ByteTotalCountsSlotCapacity) {
+  auto options = BaseOptions();
+  options.policy = LoadPolicy::kExternalTables;
+  options.cache_capacity_chunks = 0;
+  options.cache_positional_maps = true;
+  options.positional_map_cache_chunks = 2;  // of 8: most maps are evicted
+  auto f = Fixture::Make("pmc_bytes", options, 4000, 16);
+  ScanRaw op("t", f.manager->catalog(), f.manager->storage(),
+             f.manager->arbiter(), nullptr, options);
+  const PosmapDialect dialect = TokenizeDialectFor(f.schema, options);
+
+  // 17, 13 and 3 slots per row: the 13-slot maps fit in the 17-slot arrays,
+  // the 3-slot maps do not.
+  QuerySpec wide;
+  QuerySpec middle;
+  for (size_t c = 0; c < 16; ++c) wide.sum_columns.push_back(c);
+  for (size_t c = 0; c < 12; ++c) middle.sum_columns.push_back(c);
+  QuerySpec narrow;
+  narrow.sum_columns = {0, 1};
+  for (int round = 0; round < 2; ++round) {
+    for (const QuerySpec* query : {&wide, &middle, &narrow}) {
+      SCOPED_TRACE(testing::Message() << "round " << round << ", "
+                                      << query->sum_columns.size()
+                                      << " columns");
+      auto result = op.ExecuteQuery(*query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      size_t held = 0;
+      for (const auto& [index, map] : op.positional_maps().Snapshot(dialect)) {
+        const std::vector<uint32_t>& slots = map->raw_offsets();
+        held += slots.capacity() * sizeof(uint32_t);
+        EXPECT_LE(slots.capacity(), 2 * slots.size()) << "chunk " << index;
+      }
+      EXPECT_GT(held, 0u);
+      EXPECT_EQ(op.positional_maps().MemoryBytes(), held);
+    }
+  }
+}
+
 TEST(PositionalMapCacheTest, CapacityBounded) {
   const PosmapDialect dialect;
   PositionalMapCache cache(2);

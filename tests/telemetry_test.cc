@@ -409,7 +409,15 @@ TEST(ManagerTelemetryTest, ExplicitSinkOverridesManagerSink) {
 // --------------------------------------------------- EXPLAIN ANALYZE e2e ---
 
 TEST(ExplainE2eTest, ColdThenCachedQueriesAttributeProvenance) {
-  auto f = Fixture::Make("explain_e2e", BaseOptions());
+  // The warm query must run on the live operator, so the cold one must not
+  // load the whole table (the operator would retire). With a text-buffer
+  // slot per chunk READ blocks at most once, at the last chunk: the cold
+  // query loads at most the 4 cached chunks and one triggered write. With
+  // the default 3 slots the trigger fires on most chunks, and under slow
+  // (sanitizer) timing it can load all 8.
+  ScanRawOptions options = BaseOptions();
+  options.text_buffer_capacity = 8;
+  auto f = Fixture::Make("explain_e2e", options);
   QuerySpec q;
   for (size_t c = 0; c < 8; ++c) q.sum_columns.push_back(c);
 
