@@ -184,26 +184,6 @@ inline Status RefAppendField(std::string_view text, FieldType type,
   return Status::Internal("unknown field type");
 }
 
-inline Result<int64_t> RefParseNumeric(std::string_view text, FieldType type) {
-  switch (type) {
-    case FieldType::kUint32: {
-      auto v = RefParseUint32(text);
-      if (!v.ok()) return v.status();
-      return static_cast<int64_t>(*v);
-    }
-    case FieldType::kInt64:
-      return RefParseInt64(text);
-    case FieldType::kDouble: {
-      auto v = RefParseDouble(text);
-      if (!v.ok()) return v.status();
-      return static_cast<int64_t>(*v);
-    }
-    case FieldType::kString:
-      break;
-  }
-  return Status::InvalidArgument("push-down filter on non-numeric column");
-}
-
 // Row-at-a-time chunk conversion, exactly as the pre-columnar parser did it.
 inline Result<BinaryChunk> RefParseChunk(const TextChunk& chunk,
                                          const PositionalMap& map,
@@ -225,15 +205,6 @@ inline Result<BinaryChunk> RefParseChunk(const TextChunk& chunk,
           map.fields_per_row()));
     }
   }
-  if (options.pushdown.has_value()) {
-    const size_t pc = options.pushdown->column;
-    if (pc >= map.fields_per_row()) {
-      return Status::InvalidArgument("push-down column not tokenized");
-    }
-    if (schema.column(pc).type == FieldType::kString) {
-      return Status::InvalidArgument("push-down filter on string column");
-    }
-  }
   if (map.num_rows() != chunk.num_rows()) {
     return Status::InvalidArgument("positional map / chunk row mismatch");
   }
@@ -244,15 +215,6 @@ inline Result<BinaryChunk> RefParseChunk(const TextChunk& chunk,
   for (size_t c : cols) vectors.emplace_back(schema.column(c).type);
 
   for (size_t r = 0; r < chunk.num_rows(); ++r) {
-    if (options.pushdown.has_value()) {
-      const auto& pd = *options.pushdown;
-      const std::string_view field = data.substr(
-          map.FieldStart(r, pd.column),
-          map.FieldEnd(r, pd.column) - map.FieldStart(r, pd.column));
-      auto v = RefParseNumeric(field, schema.column(pd.column).type);
-      if (!v.ok()) return v.status();
-      if (*v < pd.min_value || *v > pd.max_value) continue;
-    }
     for (size_t i = 0; i < cols.size(); ++i) {
       const size_t c = cols[i];
       const std::string_view field =
@@ -274,7 +236,6 @@ inline Result<BinaryChunk> RefParseChunk(const TextChunk& chunk,
   for (size_t i = 0; i < cols.size(); ++i) {
     SCANRAW_RETURN_IF_ERROR(out.AddColumn(cols[i], std::move(vectors[i])));
   }
-  if (out.num_columns() > 0 && out.num_rows() == 0) out.set_num_rows(0);
   return out;
 }
 

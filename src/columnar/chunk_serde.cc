@@ -45,7 +45,6 @@ class Reader {
     pos_ += n;
     return true;
   }
-  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   bool GetRaw(void* dst, size_t n) {
@@ -58,65 +57,6 @@ class Reader {
   size_t pos_ = 0;
 };
 
-void PutVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-bool GetVarint(Reader* reader, uint64_t* v) {
-  uint64_t result = 0;
-  int shift = 0;
-  uint8_t byte = 0;
-  while (shift <= 63) {
-    if (!reader->GetU8(&byte)) return false;
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
-uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-int64_t UnZigZag(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-// Zigzag-varint delta stream over the column's integer values. Deltas are
-// computed with wrapping unsigned arithmetic so int64 extremes are safe.
-void EncodeVarintDelta(const ColumnVector& vec, std::string* out) {
-  uint64_t previous = 0;
-  for (size_t i = 0; i < vec.size(); ++i) {
-    const uint64_t v = static_cast<uint64_t>(vec.NumericAt(i));
-    PutVarint(out, ZigZag(static_cast<int64_t>(v - previous)));
-    previous = v;
-  }
-}
-
-bool DecodeVarintDelta(Reader* reader, FieldType type, size_t num_values,
-                       ColumnVector* out) {
-  uint64_t previous = 0;
-  for (size_t i = 0; i < num_values; ++i) {
-    uint64_t raw = 0;
-    if (!GetVarint(reader, &raw)) return false;
-    previous += static_cast<uint64_t>(UnZigZag(raw));
-    if (type == FieldType::kUint32) {
-      if (previous > UINT32_MAX) return false;
-      out->AppendUint32(static_cast<uint32_t>(previous));
-    } else {
-      out->AppendInt64(static_cast<int64_t>(previous));
-    }
-  }
-  return true;
-}
-
 // Bytes of a column's kRawBytes page image: id, type and encoding, then
 // the length-prefixed payload (arena and offsets for strings).
 size_t RawPageBytes(const ColumnVector& vec) {
@@ -128,14 +68,13 @@ size_t RawPageBytes(const ColumnVector& vec) {
 
 }  // namespace
 
-Status SerializeChunk(const BinaryChunk& chunk, std::string* out,
-                      bool compress) {
-  return SerializeChunkColumns(chunk, chunk.ColumnIds(), out, compress);
+Status SerializeChunk(const BinaryChunk& chunk, std::string* out) {
+  return SerializeChunkColumns(chunk, chunk.ColumnIds(), out);
 }
 
 Status SerializeChunkColumns(const BinaryChunk& chunk,
                              const std::vector<size_t>& columns,
-                             std::string* out, bool compress) {
+                             std::string* out) {
   // The checks AddColumn makes when the columns are copied, in list order,
   // into a chunk whose row count starts at chunk.num_rows().
   size_t num_rows = chunk.num_rows();
@@ -175,24 +114,7 @@ Status SerializeChunkColumns(const BinaryChunk& chunk,
     const ColumnVector& vec = chunk.column(col);
     PutU64(out, col);
     PutU8(out, static_cast<uint8_t>(vec.type()));
-    const size_t encoding_at = out->size();
     PutU8(out, static_cast<uint8_t>(ColumnEncoding::kRawBytes));
-    if (compress && (vec.type() == FieldType::kUint32 ||
-                     vec.type() == FieldType::kInt64)) {
-      // Adaptive: keep the delta stream only when it actually beats the
-      // raw page (clustered data wins; random 32-bit data would expand).
-      const size_t len_at = out->size();
-      PutU64(out, 0);
-      EncodeVarintDelta(vec, out);
-      const size_t delta_bytes = out->size() - len_at - sizeof(uint64_t);
-      if (delta_bytes < vec.fixed_data().size()) {
-        (*out)[encoding_at] =
-            static_cast<char>(ColumnEncoding::kVarintDelta);
-        PatchU64(out, len_at, delta_bytes);
-        continue;
-      }
-      out->resize(len_at);
-    }
     if (IsFixedWidth(vec.type())) {
       const auto& data = vec.fixed_data();
       PutU64(out, data.size());
@@ -254,28 +176,12 @@ Result<BinaryChunk> DeserializeChunk(std::string_view data) {
     if (type_raw > static_cast<uint8_t>(FieldType::kString)) {
       return Status::Corruption("unknown column type");
     }
-    if (encoding_raw > static_cast<uint8_t>(ColumnEncoding::kVarintDelta)) {
+    if (encoding_raw != static_cast<uint8_t>(ColumnEncoding::kRawBytes)) {
       return Status::Corruption("unknown column encoding");
     }
     const FieldType type = static_cast<FieldType>(type_raw);
-    const auto encoding = static_cast<ColumnEncoding>(encoding_raw);
     ColumnVector vec(type);
-    if (encoding == ColumnEncoding::kVarintDelta) {
-      if (type != FieldType::kUint32 && type != FieldType::kInt64) {
-        return Status::Corruption("delta encoding on non-integer column");
-      }
-      uint64_t len = 0;
-      std::string_view payload;
-      if (!br.GetU64(&len) || !br.GetBytes(len, &payload)) {
-        return Status::Corruption("truncated delta column payload");
-      }
-      Reader pr(payload);
-      vec.Reserve(num_rows);
-      if (!DecodeVarintDelta(&pr, type, num_rows, &vec) ||
-          pr.remaining() != 0) {
-        return Status::Corruption("invalid delta column payload");
-      }
-    } else if (IsFixedWidth(type)) {
+    if (IsFixedWidth(type)) {
       uint64_t len = 0;
       std::string_view payload;
       if (!br.GetU64(&len) || !br.GetBytes(len, &payload)) {

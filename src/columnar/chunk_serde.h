@@ -15,21 +15,17 @@
 
 namespace scanraw {
 
-// Per-column storage encodings. kVarintDelta applies zigzag-varint delta
-// coding to integer columns — close to free on random data, and several
-// times smaller on clustered data (pairs with the §3.3 sorted-write
-// option). Doubles and strings always use kRawBytes.
+// Per-column storage encoding, one byte in each column's page header.
+// Every column is written as its raw in-memory bytes; any other byte value
+// is Corruption.
 enum class ColumnEncoding : uint8_t {
   kRawBytes = 0,
-  kVarintDelta = 1,
 };
 
 // Serializes the whole chunk (header + one page image per column) and
 // appends it to `out`. The encoding is self-describing; the header carries
 // the body's size and its CRC32C (common/checksum.h), in a 64-bit slot.
-// With `compress` set, integer columns use kVarintDelta.
-Status SerializeChunk(const BinaryChunk& chunk, std::string* out,
-                      bool compress = false);
+Status SerializeChunk(const BinaryChunk& chunk, std::string* out);
 
 // Serializes only `columns` of `chunk`, straight into `out` in one pass.
 // The page is byte-identical to copying those columns into a chunk of their
@@ -39,7 +35,7 @@ Status SerializeChunk(const BinaryChunk& chunk, std::string* out,
 // columns are written in ascending id order.
 Status SerializeChunkColumns(const BinaryChunk& chunk,
                              const std::vector<size_t>& columns,
-                             std::string* out, bool compress = false);
+                             std::string* out);
 
 // Inverse of SerializeChunk. Returns Corruption on checksum or framing
 // mismatch, and for a page of the older FNV-1a format, which is never

@@ -6,9 +6,9 @@
 // page-cache read speed. Crc32cPortable is the table-driven fallback and
 // returns the same values; it is the only path of SCANRAW_SIMD=OFF builds.
 //
-// Fnv1aHash is not a page checksum: it is the KMV sketch's string hash
-// (db/sketches) and the BAM-like block checksum (genomics/bam_like), whose
-// byte-at-a-time decode cost stands in for BAM decompression in Table 1.
+// Fnv1aHash is not a page checksum: it is the BAM-like block checksum
+// (genomics/bam_like), whose byte-at-a-time decode cost stands in for BAM
+// decompression in Table 1.
 #ifndef SCANRAW_COMMON_CHECKSUM_H_
 #define SCANRAW_COMMON_CHECKSUM_H_
 

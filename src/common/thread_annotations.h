@@ -111,7 +111,6 @@ enum class LockRank : int {
   kResourceLog = 210,      // obs::ResourceLog sample ring
   kTicker = 220,           // pipeline::Ticker task list (ticks run unlocked)
   kProgressTracker = 240,  // obs::ProgressTracker totals + rolling window
-  kSketches = 260,         // db::TableSketches per-chunk zone maps
   kWorkloadHistory = 280,  // obs::WorkloadHistory table stats
   kCatalog = 300,          // Catalog table map
   kFaultInjection = 310,   // FaultInjector config + counters
@@ -124,7 +123,6 @@ enum class LockRank : int {
   kThreadPool = 400,       // pipeline::ThreadPool task queue
   kScanInflight = 420,     // scan_raw.cc QueryRun tasks, buffers, error
   kScanActive = 440,       // ScanRaw per-query profiling registry
-  kScanSketched = 450,     // ScanRaw sketched-chunk set
   kScanWrite = 460,        // ScanRaw background-write completion latch
   kScanPending = 480,      // ScanRaw pending-write queue (holds catalog,
                            // chunk cache while marking chunks durable)

@@ -9,8 +9,7 @@
 namespace scanraw {
 
 ReconcileReport ReconcileCatalogWithStorage(Catalog& catalog,
-                                            const StorageManager& storage,
-                                            bool verify_checksums) {
+                                            const StorageManager& storage) {
   ReconcileReport report;
   auto tables = catalog.Snapshot();
   const uint64_t storage_end = storage.bytes_written();
@@ -24,14 +23,12 @@ ReconcileReport ReconcileCatalogWithStorage(Catalog& catalog,
       bool dropped_any = false;
       for (const StoredSegment& seg : chunk.segments) {
         ++report.segments_checked;
-        Status ok = Status::OK();
-        if (seg.page.offset + seg.page.size > storage_end) {
-          ok = Status::Corruption(StringPrintf(
-              "past storage end %llu",
-              static_cast<unsigned long long>(storage_end)));
-        } else if (verify_checksums) {
-          ok = storage.VerifySegment(seg.page);
-        }
+        const Status ok =
+            seg.page.offset + seg.page.size > storage_end
+                ? Status::Corruption(StringPrintf(
+                      "past storage end %llu",
+                      static_cast<unsigned long long>(storage_end)))
+                : storage.VerifySegment(seg.page);
         if (ok.ok()) {
           kept.push_back(seg);
           continue;

@@ -35,12 +35,10 @@ struct ReconcileReport {
 };
 
 // Validates the whole catalog against `storage` and rewrites the catalog
-// (via Snapshot/Restore) without the dropped segments. When
-// `verify_checksums` is true every in-bounds segment is also deserialized
-// so its checksum is checked; otherwise only the EOF bound is enforced.
+// (via Snapshot/Restore) without the dropped segments. Every segment must
+// lie inside the storage file and pass its page checksum.
 ReconcileReport ReconcileCatalogWithStorage(Catalog& catalog,
-                                            const StorageManager& storage,
-                                            bool verify_checksums);
+                                            const StorageManager& storage);
 
 // Restart reconciliation for the workload-intelligence state: history
 // entries for tables the catalog no longer knows (dropped, or the catalog

@@ -37,8 +37,7 @@ Result<StoredSegment> StorageManager::WriteSegment(
     const BinaryChunk& chunk, const std::vector<size_t>& columns) {
   std::string blob;
   const int64_t t0 = RealClock::Instance()->NowNanos();
-  SCANRAW_RETURN_IF_ERROR(SerializeChunkColumns(
-      chunk, columns, &blob, compress_.load(std::memory_order_relaxed)));
+  SCANRAW_RETURN_IF_ERROR(SerializeChunkColumns(chunk, columns, &blob));
 
   MutexLock lock(write_mu_);
   StoredSegment segment;

@@ -5,7 +5,6 @@
 #ifndef SCANRAW_DB_STORAGE_MANAGER_H_
 #define SCANRAW_DB_STORAGE_MANAGER_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,11 +43,6 @@ class StorageManager {
   // Appends every column present in the chunk.
   Result<StoredSegment> WriteChunk(const BinaryChunk& chunk);
 
-  // Delta-compress integer columns of future segments (reading handles
-  // both encodings transparently). Pairs well with sorted writes.
-  void SetCompression(bool enabled) { compress_ = enabled; }
-  bool compression() const { return compress_; }
-
   // Forces every appended segment to stable storage. The write path calls
   // this before the catalog records a segment, so the catalog never points
   // at unsynced bytes. Thread-safe.
@@ -84,8 +78,6 @@ class StorageManager {
   const std::string path_;
   RateLimiter* limiter_;
   IoStats* stats_;
-
-  std::atomic<bool> compress_{false};
 
   mutable Mutex write_mu_{LockRank::kStorageWrite, "StorageManager.write_mu"};
   std::unique_ptr<WritableFile> writer_ GUARDED_BY(write_mu_);

@@ -124,26 +124,6 @@ Result<double> ParseDouble(std::string_view text) {
 
 namespace {
 
-Result<int64_t> ParseNumeric(std::string_view text, FieldType type) {
-  switch (type) {
-    case FieldType::kUint32: {
-      auto v = ParseUint32(text);
-      if (!v.ok()) return v.status();
-      return static_cast<int64_t>(*v);
-    }
-    case FieldType::kInt64:
-      return ParseInt64(text);
-    case FieldType::kDouble: {
-      auto v = ParseDouble(text);
-      if (!v.ok()) return v.status();
-      return static_cast<int64_t>(*v);
-    }
-    case FieldType::kString:
-      break;
-  }
-  return Status::InvalidArgument("push-down filter on non-numeric column");
-}
-
 // Only a corrupt positional map holds a span [s, e) that is not inside its
 // chunk. The fast paths reject such a span, but its text clamped to the
 // chunk may well parse, so it is reported before any re-parse.
@@ -268,12 +248,11 @@ size_t DecodeUint32s(std::string_view data, size_t n, uint32_t* dst,
   return n;
 }
 
-// Converts `bn` selected rows starting at selection index `b0` of column
-// `c` in one typed loop, templated on a span provider `span(i, &r, &s, &e)`
-// so the compact fast path (hoisted row stride, loop-invariant end
-// adjustment) and the generic path share the per-type bodies. The type
-// switch runs once per block instead of once per field, and fixed-width
-// output lands in a single bulk-resized block.
+// Converts `bn` rows of column `c` in one typed loop, templated on a span
+// provider `span(i, &r, &s, &e)` so the compact fast path (hoisted row
+// stride, loop-invariant end adjustment) and the generic path share the
+// per-type bodies. The type switch runs once per block instead of once per
+// field, and fixed-width output lands in a single bulk-resized block.
 template <typename SpanFn>
 Status ParseBlockTyped(const TextChunk& chunk, size_t c, FieldType type,
                        size_t bn, const ParseOptions& options,
@@ -345,16 +324,14 @@ Status ParseBlockTyped(const TextChunk& chunk, size_t c, FieldType type,
   return Status::Internal("unknown field type");
 }
 
-// One block of one column. `sel` lists the surviving row indexes (null =
-// all rows); `b0` is the block's first selection index.
+// One block of one column: rows [b0, b0 + bn).
 Status ParseColumnBlock(const TextChunk& chunk, const PositionalMap& map,
-                        size_t c, FieldType type, const uint32_t* sel,
-                        size_t b0, size_t bn, const ParseOptions& options,
-                        ColumnVector* out) {
-  if (!map.explicit_ends() && sel == nullptr) {
-    // Compact unfiltered fast path: rows are consecutive, so the slot
-    // pointer advances by a fixed stride, and whether the field end needs
-    // the delimiter-byte adjustment is a per-column constant.
+                        size_t c, FieldType type, size_t b0, size_t bn,
+                        const ParseOptions& options, ColumnVector* out) {
+  if (!map.explicit_ends()) {
+    // Compact fast path: the slot pointer advances by a fixed stride, and
+    // whether the field end needs the delimiter-byte adjustment is a
+    // per-column constant.
     const size_t stride = map.fields_per_row() + 1;
     const uint32_t* slot = map.RowData(b0) + c;
     const uint32_t adj = (c + 1 == map.fields_per_row()) ? 0 : 1;
@@ -368,9 +345,9 @@ Status ParseColumnBlock(const TextChunk& chunk, const PositionalMap& map,
         });
   }
   return ParseBlockTyped(chunk, c, type, bn, options, out,
-                         [&map, sel, c, b0](size_t i, size_t* r, uint32_t* s,
-                                            uint32_t* e) {
-                           *r = sel != nullptr ? sel[b0 + i] : b0 + i;
+                         [&map, c, b0](size_t i, size_t* r, uint32_t* s,
+                                       uint32_t* e) {
+                           *r = b0 + i;
                            *s = map.FieldStart(*r, c);
                            *e = map.FieldEnd(*r, c);
                          });
@@ -403,97 +380,31 @@ Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
           map.fields_per_row()));
     }
   }
-  if (options.pushdown.has_value()) {
-    const size_t pc = options.pushdown->column;
-    if (pc >= map.fields_per_row()) {
-      return Status::InvalidArgument("push-down column not tokenized");
-    }
-    if (schema.column(pc).type == FieldType::kString) {
-      return Status::InvalidArgument("push-down filter on string column");
-    }
-  }
   if (map.num_rows() != chunk.num_rows()) {
     return Status::InvalidArgument("positional map / chunk row mismatch");
   }
 
-  const std::string_view data(chunk.data);
   const size_t num_rows = chunk.num_rows();
-
-  // Push-down selection first (§2): one typed pass over the predicate
-  // column produces the row selection every projected column then honors.
-  std::vector<uint32_t> selected;
-  const bool filtered = options.pushdown.has_value();
-  if (filtered) {
-    const auto& pd = *options.pushdown;
-    const FieldType pt = schema.column(pd.column).type;
-    const char* base = data.data();
-    selected.reserve(num_rows);
-    for (size_t r = 0; r < num_rows; ++r) {
-      const uint32_t s = map.FieldStart(r, pd.column);
-      const uint32_t e = map.FieldEnd(r, pd.column);
-      int64_t value = 0;
-      bool parsed = false;
-      switch (pt) {
-        case FieldType::kUint32: {
-          uint32_t v = 0;
-          parsed = DecodeUint32s(data, 1, &v,
-                                 [s, e](size_t, uint32_t* fs, uint32_t* fe) {
-                                   *fs = s;
-                                   *fe = e;
-                                 }) == 1;
-          value = static_cast<int64_t>(v);
-          break;
-        }
-        case FieldType::kInt64:
-          parsed = TryParseInt64(base + s, base + e, &value);
-          break;
-        case FieldType::kDouble: {
-          double v = 0;
-          parsed = TryParseDouble(base + s, base + e, &v);
-          value = static_cast<int64_t>(v);
-          break;
-        }
-        case FieldType::kString:
-          break;  // rejected by validation above
-      }
-      if (!parsed) {
-        return SpanInChunk(data, s, e)
-                   ? ParseNumeric(data.substr(s, e - s), pt).status()
-                   : FieldError(chunk, r, pd.column, s, e, pt);
-      }
-      if (value >= pd.min_value && value <= pd.max_value) {
-        selected.push_back(static_cast<uint32_t>(r));
-      }
-    }
-  }
-  const uint32_t* sel = filtered ? selected.data() : nullptr;
-  const size_t out_rows = filtered ? selected.size() : num_rows;
-
   std::vector<ColumnVector> vectors;
   vectors.reserve(cols.size());
   for (size_t c : cols) {
     ColumnVector vec(schema.column(c).type);
     if (options.recycler != nullptr) vec.AdoptBuffersFrom(options.recycler);
-    vec.Reserve(out_rows);
+    vec.Reserve(num_rows);
     vectors.push_back(std::move(vec));
   }
-  for (size_t b0 = 0; b0 < out_rows; b0 += kParseRowBlock) {
-    const size_t bn = std::min(kParseRowBlock, out_rows - b0);
+  for (size_t b0 = 0; b0 < num_rows; b0 += kParseRowBlock) {
+    const size_t bn = std::min(kParseRowBlock, num_rows - b0);
     for (size_t j = 0; j < cols.size(); ++j) {
       SCANRAW_RETURN_IF_ERROR(ParseColumnBlock(chunk, map, cols[j],
                                                schema.column(cols[j]).type,
-                                               sel, b0, bn, options,
-                                               &vectors[j]));
+                                               b0, bn, options, &vectors[j]));
     }
   }
 
   BinaryChunk out(chunk.chunk_index);
   for (size_t j = 0; j < cols.size(); ++j) {
     SCANRAW_RETURN_IF_ERROR(out.AddColumn(cols[j], std::move(vectors[j])));
-  }
-  if (out.num_columns() > 0 && out.num_rows() == 0) {
-    // All rows filtered out: keep an explicit zero-row chunk.
-    out.set_num_rows(0);
   }
   return out;
 }

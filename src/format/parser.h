@@ -1,13 +1,10 @@
 // PARSE stage: converts attribute text into typed binary columns using the
-// offsets computed by TOKENIZE (§2). Supports selective parsing (only the
-// projected columns are converted) and optional push-down selection (parse
-// the predicate column first and skip failing rows — §2 discusses why this
-// is off by default: it breaks exactly-once loading bookkeeping).
+// offsets computed by TOKENIZE (§2). Supports selective parsing: only the
+// projected columns are converted.
 #ifndef SCANRAW_FORMAT_PARSER_H_
 #define SCANRAW_FORMAT_PARSER_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "columnar/binary_chunk.h"
@@ -18,18 +15,10 @@
 
 namespace scanraw {
 
-// Range predicate evaluated during parsing when push-down selection is on.
-struct PushdownFilter {
-  size_t column = 0;        // must be numeric
-  int64_t min_value = 0;    // inclusive
-  int64_t max_value = 0;    // inclusive
-};
-
 struct ParseOptions {
   // Column indexes to convert; empty means every schema column. Must all be
   // covered by the positional map.
   std::vector<size_t> projected_columns;
-  std::optional<PushdownFilter> pushdown;
   // When set, output columns draw their backing buffers from here instead
   // of allocating fresh ones (see ChunkBufferPool). May be null.
   ColumnBufferSource* recycler = nullptr;
@@ -40,9 +29,8 @@ struct ParseOptions {
   char quote = '"';
 };
 
-// Parses the projected columns of `chunk` into a BinaryChunk. When a
-// push-down filter is set, rows failing it are dropped (the result's row
-// count can be smaller than the chunk's).
+// Parses the projected columns of `chunk` into a BinaryChunk with one row
+// per row of the chunk.
 Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
                                const PositionalMap& map, const Schema& schema,
                                const ParseOptions& options);

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -101,13 +100,6 @@ struct ScanRawOptions {
   // between the append and the next catalog save.
   bool sync_segment_writes = true;
 
-  // Graceful degradation: after a background WRITE fails (disk full, I/O
-  // error), suppress new speculative triggers for this long. The failed
-  // chunk stays unloaded — queries keep running from the raw side — and
-  // loading is retried once the backoff expires. Synchronous-loading
-  // policies (kFullLoad, kInvisibleLoading) still surface the error.
-  int write_failure_backoff_ms = 100;
-
   // Cache positional maps across queries so re-scans of raw chunks skip or
   // shorten TOKENIZE (§2's positional map; off by default per the §3.1
   // argument that binary-chunk caching dominates it).
@@ -128,29 +120,6 @@ struct ScanRawOptions {
   // disables the after-cold-scan save hook (manager-driven saves on
   // SaveCatalog still happen).
   std::string posmap_sidecar_path;
-
-  // Push-down selection (§2): evaluate the query's range predicate during
-  // PARSE and drop failing rows before they reach the engine. Only honored
-  // in external-tables mode: filtered chunks are incomplete, so they are
-  // never cached or loaded (§2 explains why the bookkeeping otherwise
-  // "is too high to consider push-down selection a viable optimization").
-  bool pushdown_selection = false;
-
-  // WRITE sorts each chunk's rows on this column before loading it (§3.3
-  // "WRITE can sort data in each chunk prior to loading"), clustering
-  // stored pages for future range scans. Disabled when unset.
-  std::optional<size_t> sort_column_before_load;
-
-  // Delay admitting a new query until the previous query's background
-  // writes (speculative / safeguard) have drained — the alternative
-  // admission rule §4 describes for when flushing interferes with the next
-  // query's reads.
-  bool delay_admission_for_writes = false;
-
-  // Maintain distinct-count and sample sketches per column during
-  // conversion (§3.3 "more advanced statistics such as the number of
-  // distinct elements ... or even samples").
-  bool collect_sketches = false;
 
   // Telemetry sink: registry-backed stage metrics, heartbeats and
   // resource-advice sampling all record here. The ScanRawManager fills
@@ -176,7 +145,11 @@ struct ScanRawOptions {
   int progress_interval_ms = 200;
 
   // Persistent query event log: when set, ExecuteQuery appends one event
-  // per query (spec, stage timings, provenance, speculative payoff). The
+  // per query (spec, stage timings, provenance, speculative payoff). A
+  // logged query does not wait for its background writes. Each write is
+  // credited to the query running when it lands, so an event counts every
+  // write that landed while its query ran, an earlier query's flush
+  // included, and not the writes of its own flush that land later. The
   // log outlives the operator; not owned.
   obs::QueryLog* query_log = nullptr;
 

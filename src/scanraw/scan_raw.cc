@@ -12,7 +12,6 @@
 #include "obs/log.h"
 #include "obs/load_advisor.h"
 #include "obs/query_log.h"
-#include "columnar/chunk_sort.h"
 #include "db/statistics.h"
 #include "format/parallel_chunker.h"
 #include "format/parser.h"
@@ -94,6 +93,12 @@ constexpr StageSinks kStageSinks[] = {
 // Byte bound of the positional-map cache, enforced alongside its chunk
 // bound: a wide-schema table can reach it long before the chunk bound.
 constexpr size_t kPositionalMapCacheBytes = 64u << 20;
+
+// Graceful degradation: after a background WRITE fails (disk full, I/O
+// error), new speculative triggers are suppressed for this long. The failed
+// chunk stays unloaded, queries keep running from the raw side, and loading
+// is retried once the backoff expires.
+constexpr int64_t kWriteFailureBackoffNanos = 100'000'000;  // 100 ms
 
 bool ChunkHasColumns(const BinaryChunk& chunk,
                      const std::vector<size_t>& columns) {
@@ -286,10 +291,6 @@ struct ScanRaw::QueryRun::Impl {
     options.projected_columns = required_columns;
     options.recycler = parent->buffer_pool_.get();
     options.unescape_quotes = Dialect().quoted;
-    if (PushdownActive()) {
-      options.pushdown = PushdownFilter{skip_filter->column, skip_filter->lo,
-                                        skip_filter->hi};
-    }
     return options;
   }
 
@@ -922,15 +923,6 @@ struct ScanRaw::QueryRun::Impl {
     return map;
   }
 
-  // Push-down selection applies only when nothing downstream keeps chunk
-  // contents (external tables): a filtered chunk must never be cached or
-  // loaded (§2).
-  bool PushdownActive() const {
-    return parent->options_.pushdown_selection &&
-           parent->options_.policy == LoadPolicy::kExternalTables &&
-           skip_filter.has_value();
-  }
-
   void ParseStep(Tokenized tokenized) {
     const TextChunk& text = *tokenized.text;
     BinaryChunkPtr chunk;
@@ -969,11 +961,6 @@ struct ScanRaw::QueryRun::Impl {
     // Crash point for the recovery matrix: a chunk has been extracted
     // (tokenized + parsed) but nothing about it has been persisted yet.
     FaultKillPoint("scanraw.extract.converted");
-    // Filtered chunks are incomplete: deliver to the engine only.
-    if (PushdownActive()) return chunk;
-    if (parent->options_.collect_sketches) {
-      parent->MaybeUpdateSketches(*chunk);
-    }
     HandleEvictions(parent->cache_.Insert(index, chunk, /*loaded=*/false));
     switch (parent->options_.policy) {
       case LoadPolicy::kFullLoad:
@@ -1216,11 +1203,6 @@ ScanRaw::~ScanRaw() {
 Result<std::unique_ptr<ScanRaw::QueryRun>> ScanRaw::StartQuery(
     std::vector<size_t> required_columns,
     std::optional<RangePredicate> skip_filter) {
-  if (options_.delay_admission_for_writes) {
-    // §4's alternative admission rule: do not start until the previous
-    // query's background flush has drained.
-    WaitForWrites();
-  }
   auto meta = catalog_->GetTable(table_);
   if (!meta.ok()) return meta.status();
   if (required_columns.empty()) {
@@ -1301,12 +1283,15 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   }
 
   if (report != nullptr) {
-    // Include the background-write drain (speculative writes, safeguard
-    // flush) in the report's window: EXPLAIN ANALYZE answers "what did this
-    // query load", and the WRITE thread credits a write to the run that is
-    // registered when it lands. This run stays registered until it is
-    // destroyed, so the drained writes are its own.
-    WaitForWrites();
+    // An explicit EXPLAIN includes the background-write drain (speculative
+    // writes, safeguard flush) in the report's window: EXPLAIN ANALYZE
+    // answers "what did this query load", and the WRITE thread credits a
+    // write to the run that is registered when it lands. This run stays
+    // registered until it is destroyed, so the drained writes are its own.
+    // A logged query does not drain: its flush overlaps the next query
+    // (§4), and the event counts the writes that landed while this run was
+    // registered, an earlier query's flush included.
+    if (explain != nullptr) WaitForWrites();
 
     // The blocked time enters the profile as one synthetic span per
     // category anchored at query start — correct busy/blocked accounting,
@@ -1640,23 +1625,12 @@ void ScanRaw::SafeguardFlush() {
 void ScanRaw::WriteLoop() {
   while (auto req = write_queue_.Pop()) {
     Status status;
-    // Optional pre-load clustering (§3.3): sort the chunk's rows on the
-    // configured column before it is stored.
-    BinaryChunkPtr to_store = req->chunk;
-    if (options_.sort_column_before_load.has_value() &&
-        to_store->HasColumn(*options_.sort_column_before_load)) {
-      auto sorted =
-          SortChunkByColumn(*to_store, *options_.sort_column_before_load);
-      if (sorted.ok()) {
-        to_store = std::make_shared<const BinaryChunk>(std::move(*sorted));
-      }
-    }
     // History-driven speculative loading: store only the advisor's
     // hot-column subset, in rank order, instead of every converted column.
     // Columns already in the database are dropped either way, so repeated
     // offers of the same chunk never duplicate segments. Results stay
     // byte-identical: skipped columns are re-extracted from the raw side.
-    std::vector<size_t> store_columns = to_store->ColumnIds();
+    std::vector<size_t> store_columns = req->chunk->ColumnIds();
     bool skip_write = false;
     if (options_.advisor != nullptr &&
         options_.policy == LoadPolicy::kSpeculativeLoading) {
@@ -1676,7 +1650,7 @@ void ScanRaw::WriteLoop() {
     if (!skip_write) {
       ScopedDiskAccess disk(arbiter_, DiskUser::kWriter);
       QueryRun::Impl::StageRecord stage(this, obs::QueryStage::kWrite);
-      auto segment = storage_->WriteSegment(*to_store, store_columns);
+      auto segment = storage_->WriteSegment(*req->chunk, store_columns);
       if (!segment.ok()) {
         status = segment.status();
       } else {
@@ -1688,7 +1662,7 @@ void ScanRaw::WriteLoop() {
         FaultKillPoint("scanraw.write.before_record");
         if (status.ok()) {
           status = catalog_->RecordSegment(table_, req->chunk_index, *segment,
-                                           ComputeChunkStats(*to_store));
+                                           ComputeChunkStats(*req->chunk));
           FaultKillPoint("scanraw.write.after_record");
         }
         // Credited to the query running now: the stored bytes, and on
@@ -1737,13 +1711,9 @@ void ScanRaw::WriteLoop() {
           "falling back to raw-side processing: %s",
           table_.c_str(), static_cast<unsigned long long>(req->chunk_index),
           std::string(status.message()).c_str());
-      if (options_.write_failure_backoff_ms > 0) {
-        write_backoff_until_nanos_.store(
-            RealClock::Instance()->NowNanos() +
-                static_cast<int64_t>(options_.write_failure_backoff_ms) *
-                    1'000'000,
-            std::memory_order_relaxed);
-      }
+      write_backoff_until_nanos_.store(
+          RealClock::Instance()->NowNanos() + kWriteFailureBackoffNanos,
+          std::memory_order_relaxed);
     }
     {
       MutexLock lock(pending_mu_);
@@ -1753,14 +1723,6 @@ void ScanRaw::WriteLoop() {
     --writes_outstanding_;
     write_cv_.NotifyAll();
   }
-}
-
-void ScanRaw::MaybeUpdateSketches(const BinaryChunk& chunk) {
-  {
-    MutexLock lock(sketched_mu_);
-    if (!sketched_chunks_.insert(chunk.chunk_index()).second) return;
-  }
-  sketches_.AddChunk(chunk);
 }
 
 void ScanRaw::WaitForWrites() {

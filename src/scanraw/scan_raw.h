@@ -25,7 +25,6 @@
 #include "io/disk_arbiter.h"
 #include "io/file.h"
 #include "io/rate_limiter.h"
-#include "db/sketches.h"
 #include "obs/explain.h"
 #include "obs/progress.h"
 #include "obs/span_profiler.h"
@@ -272,7 +271,12 @@ class ScanRaw {
   // deltas of the arbiter's and limiter's cumulative wait totals: those
   // devices are shared, so a concurrent query's waits can show up there.
   // Background writes are credited to the query that is active when they
-  // land, and the report waits for the write queue to drain first.
+  // land, and the report waits for the write queue to drain first. With a
+  // query log attached the logged event is built from a report of its own,
+  // but only an explicit EXPLAIN drains: a logged query returns while its
+  // safeguard flush overlaps the next query (§4). Its event counts the
+  // writes that landed while it ran, an earlier query's flush included;
+  // its own flush's later writes go to whichever query is running then.
   Result<QueryResult> ExecuteQuery(const QuerySpec& spec,
                                    obs::ExplainReport* explain);
 
@@ -317,9 +321,6 @@ class ScanRaw {
   obs::Telemetry* telemetry() const { return options_.telemetry; }
   ChunkCache& cache() { return cache_; }
   PositionalMapCache& positional_maps() { return positional_maps_; }
-  // Distinct/sample sketches collected during conversion; only populated
-  // when options.collect_sketches is set.
-  const TableSketches& sketches() const { return sketches_; }
 
   // /statusz section for this operator: load progress, cache occupancy,
   // and — when a query is running — its per-stage span state from the
@@ -359,9 +360,6 @@ class ScanRaw {
   // Stand-alone WRITE thread body (runs for the operator's lifetime).
   void WriteLoop();
 
-  // Folds a freshly converted chunk into the sketches exactly once.
-  void MaybeUpdateSketches(const BinaryChunk& chunk);
-
   const std::string table_;
   Catalog* const catalog_;
   StorageManager* const storage_;
@@ -373,11 +371,6 @@ class ScanRaw {
   PositionalMapCache positional_maps_;
   // Buffer recycler shared by READ/PARSE and the chunk release paths.
   const std::shared_ptr<ChunkBufferPool> buffer_pool_;
-  TableSketches sketches_;
-  // Chunks already folded into the sketches, so re-scans do not bias the
-  // reservoir sample (the KMV sketch is naturally idempotent).
-  Mutex sketched_mu_{LockRank::kScanSketched, "ScanRaw.sketched_mu"};
-  std::set<uint64_t> sketched_chunks_ GUARDED_BY(sketched_mu_);
   PipelineProfile profile_;
   // Advice-state occurrence counters, indexed by ResourceSnapshot::Advice
   // (null when telemetry is unset); bumped by the per-query sampler.

@@ -40,7 +40,6 @@ Result<std::unique_ptr<ScanRawManager>> ScanRawManager::Create(
                                    &manager->io_stats_);
   if (!storage.ok()) return storage.status();
   manager->storage_ = std::move(*storage);
-  manager->storage_->SetCompression(config.compress_segments);
   obs::MetricsRegistry& registry = manager->telemetry_.metrics();
   manager->arbiter_.BindMetrics(
       registry.GetHistogram("disk.reader_wait_nanos"),
@@ -134,8 +133,7 @@ Status ScanRawManager::LoadCatalog(const std::string& path) {
   }
   Catalog::LoadStats load_stats;
   SCANRAW_RETURN_IF_ERROR(catalog_.LoadFromFile(path, &load_stats));
-  ReconcileReport report = ReconcileCatalogWithStorage(
-      catalog_, *storage_, config_.verify_segments_on_load);
+  ReconcileReport report = ReconcileCatalogWithStorage(catalog_, *storage_);
   obs::MetricsRegistry& registry = telemetry_.metrics();
   registry.GetCounter("recovery.segments_checked")
       ->Add(report.segments_checked);

@@ -55,12 +55,6 @@ class ScanRawManager {
     // Reopen an existing database file instead of truncating (restart
     // recovery; pair with LoadCatalog).
     bool reuse_existing_db = false;
-    // Delta-compress integer columns in stored segments.
-    bool compress_segments = false;
-    // Checksum-verify every catalog segment against storage during
-    // LoadCatalog (drops torn segments instead of serving Corruption
-    // later). The EOF bound is always enforced.
-    bool verify_segments_on_load = true;
     // Stall watchdog over the shared heartbeat board: a pipeline stage that
     // is active but makes no progress for this long produces a structured
     // report and a flight-recorder dump. 0 disables the watchdog.

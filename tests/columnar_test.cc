@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "columnar/binary_chunk.h"
 #include "columnar/chunk_serde.h"
-#include "columnar/chunk_sort.h"
 #include "columnar/column_vector.h"
 #include "common/checksum.h"
 #include "common/random.h"
@@ -278,27 +276,51 @@ TEST(ChunkSerdeTest, OlderFnvPageFormatIsCorruption) {
       << back.status().ToString();
 }
 
+// A column's encoding byte other than kRawBytes (0) is Corruption, even
+// when the page checksum is recomputed over the changed body.
+TEST(ChunkSerdeTest, UnknownColumnEncodingIsCorruption) {
+  BinaryChunk chunk(5);
+  ColumnVector vec(FieldType::kUint32);
+  for (uint32_t i = 0; i < 16; ++i) vec.AppendUint32(1000 + i);
+  ASSERT_TRUE(chunk.AddColumn(0, std::move(vec)).ok());
+  std::string blob;
+  ASSERT_TRUE(SerializeChunk(chunk, &blob).ok());
+  // Body: chunk index (u64), rows (u64), column count (u32), then the first
+  // column's id (u64), type (u8) and encoding (u8).
+  constexpr size_t kEncodingAt = kPageHeaderBytes + 8 + 8 + 4 + 8 + 1;
+  ASSERT_EQ(kEncodingAt, 49u);
+  ASSERT_EQ(blob[kEncodingAt],
+            static_cast<char>(ColumnEncoding::kRawBytes));
+  for (int encoding = 1; encoding < 256; ++encoding) {
+    std::string bad = blob;
+    bad[kEncodingAt] = static_cast<char>(encoding);
+    const uint64_t crc =
+        Crc32c(std::string_view(bad).substr(kPageHeaderBytes));
+    std::memcpy(bad.data() + 12, &crc, sizeof(crc));
+    const auto back = DeserializeChunk(bad);
+    ASSERT_TRUE(back.status().IsCorruption()) << "encoding " << encoding;
+    EXPECT_EQ(back.status().message(), "unknown column encoding")
+        << "encoding " << encoding;
+  }
+}
+
 // One-pass encoding of a column list is byte-identical to copying those
 // columns into a chunk of their own and serializing that, for lists in any
-// order and with duplicates, compressed or not.
+// order and with duplicates.
 TEST(ChunkSerdeTest, ColumnSubsetMatchesSubsetThenSerialize) {
   const BinaryChunk chunk = MakeMixedChunk(6, 64);
   const std::vector<std::vector<size_t>> lists = {
       {}, {0}, {9, 0}, {5, 1, 9, 0}, {1, 1, 5, 1}, {9, 5, 9, 0, 1}};
-  for (bool compress : {false, true}) {
-    for (const std::vector<size_t>& columns : lists) {
-      BinaryChunk subset(chunk.chunk_index());
-      subset.set_num_rows(chunk.num_rows());
-      for (size_t col : columns) {
-        ASSERT_TRUE(subset.AddColumn(col, chunk.column(col)).ok());
-      }
-      std::string expected, actual = "prefix";
-      ASSERT_TRUE(SerializeChunk(subset, &expected, compress).ok());
-      ASSERT_TRUE(
-          SerializeChunkColumns(chunk, columns, &actual, compress).ok());
-      EXPECT_EQ(actual, "prefix" + expected)
-          << columns.size() << " columns, compress " << compress;
+  for (const std::vector<size_t>& columns : lists) {
+    BinaryChunk subset(chunk.chunk_index());
+    subset.set_num_rows(chunk.num_rows());
+    for (size_t col : columns) {
+      ASSERT_TRUE(subset.AddColumn(col, chunk.column(col)).ok());
     }
+    std::string expected, actual = "prefix";
+    ASSERT_TRUE(SerializeChunk(subset, &expected).ok());
+    ASSERT_TRUE(SerializeChunkColumns(chunk, columns, &actual).ok());
+    EXPECT_EQ(actual, "prefix" + expected) << columns.size() << " columns";
   }
 }
 
@@ -330,131 +352,6 @@ TEST_P(SerdeSweepTest, RoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SerdeSweepTest,
                          testing::Values(0, 1, 2, 17, 128, 1000));
-
-TEST(ChunkSerdeTest, CompressedRoundTrip) {
-  BinaryChunk chunk = MakeMixedChunk(11, 200);
-  std::string blob;
-  ASSERT_TRUE(SerializeChunk(chunk, &blob, /*compress=*/true).ok());
-  auto back = DeserializeChunk(blob);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectChunksEqual(chunk, *back);
-}
-
-TEST(ChunkSerdeTest, CompressionShrinksClusteredData) {
-  // Sorted (clustered) integers delta-compress far below 4 bytes/value.
-  BinaryChunk chunk(0);
-  ColumnVector vec(FieldType::kUint32);
-  for (uint32_t i = 0; i < 10000; ++i) vec.AppendUint32(1000000 + i * 3);
-  ASSERT_TRUE(chunk.AddColumn(0, std::move(vec)).ok());
-  std::string raw_blob, packed_blob;
-  ASSERT_TRUE(SerializeChunk(chunk, &raw_blob, false).ok());
-  ASSERT_TRUE(SerializeChunk(chunk, &packed_blob, true).ok());
-  EXPECT_LT(packed_blob.size() * 3, raw_blob.size());
-  auto back = DeserializeChunk(packed_blob);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->column(0).AsUint32()[9999], 1000000u + 9999 * 3);
-}
-
-TEST(ChunkSerdeTest, CompressedInt64WithNegatives) {
-  BinaryChunk chunk(0);
-  ColumnVector vec(FieldType::kInt64);
-  vec.AppendInt64(INT64_MIN);
-  vec.AppendInt64(-1);
-  vec.AppendInt64(0);
-  vec.AppendInt64(INT64_MAX);
-  ASSERT_TRUE(chunk.AddColumn(0, std::move(vec)).ok());
-  std::string blob;
-  ASSERT_TRUE(SerializeChunk(chunk, &blob, true).ok());
-  auto back = DeserializeChunk(blob);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->column(0).AsInt64()[0], INT64_MIN);
-  EXPECT_EQ(back->column(0).AsInt64()[3], INT64_MAX);
-}
-
-TEST(ChunkSerdeTest, CompressedCorruptionDetected) {
-  BinaryChunk chunk = MakeMixedChunk(1, 100);
-  std::string blob;
-  ASSERT_TRUE(SerializeChunk(chunk, &blob, true).ok());
-  blob[blob.size() - 3] ^= 0x10;
-  EXPECT_TRUE(DeserializeChunk(blob).status().IsCorruption());
-}
-
-TEST(ChunkSortTest, GatherReordersAllTypes) {
-  ColumnVector u(FieldType::kUint32);
-  u.AppendUint32(10);
-  u.AppendUint32(20);
-  u.AppendUint32(30);
-  auto gathered = GatherColumn(u, {2, 0, 1});
-  EXPECT_EQ(gathered.AsUint32()[0], 30u);
-  EXPECT_EQ(gathered.AsUint32()[1], 10u);
-  EXPECT_EQ(gathered.AsUint32()[2], 20u);
-
-  ColumnVector s(FieldType::kString);
-  s.AppendString("a");
-  s.AppendString("bb");
-  s.AppendString("ccc");
-  auto gs = GatherColumn(s, {1, 2, 0});
-  EXPECT_EQ(gs.StringAt(0), "bb");
-  EXPECT_EQ(gs.StringAt(2), "a");
-
-  ColumnVector d(FieldType::kDouble);
-  d.AppendDouble(1.5);
-  d.AppendDouble(-2.5);
-  auto gd = GatherColumn(d, {1, 0});
-  EXPECT_DOUBLE_EQ(gd.AsDouble()[0], -2.5);
-}
-
-TEST(ChunkSortTest, SortsRowsTogether) {
-  BinaryChunk chunk(3);
-  ColumnVector key(FieldType::kUint32), payload(FieldType::kString);
-  const std::vector<uint32_t> keys = {30, 10, 20};
-  const std::vector<std::string> names = {"c", "a", "b"};
-  for (size_t i = 0; i < 3; ++i) {
-    key.AppendUint32(keys[i]);
-    payload.AppendString(names[i]);
-  }
-  ASSERT_TRUE(chunk.AddColumn(0, std::move(key)).ok());
-  ASSERT_TRUE(chunk.AddColumn(1, std::move(payload)).ok());
-  auto sorted = SortChunkByColumn(chunk, 0);
-  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-  EXPECT_EQ(sorted->chunk_index(), 3u);
-  auto k = sorted->column(0).AsUint32();
-  EXPECT_TRUE(std::is_sorted(k.begin(), k.end()));
-  // Rows stay aligned: key 10 carries "a".
-  EXPECT_EQ(sorted->column(1).StringAt(0), "a");
-  EXPECT_EQ(sorted->column(1).StringAt(2), "c");
-}
-
-TEST(ChunkSortTest, StringKeyAndStability) {
-  BinaryChunk chunk(0);
-  ColumnVector key(FieldType::kString), order(FieldType::kUint32);
-  const std::vector<std::string> keys = {"b", "a", "b", "a"};
-  for (size_t i = 0; i < 4; ++i) {
-    key.AppendString(keys[i]);
-    order.AppendUint32(static_cast<uint32_t>(i));
-  }
-  ASSERT_TRUE(chunk.AddColumn(0, std::move(key)).ok());
-  ASSERT_TRUE(chunk.AddColumn(1, std::move(order)).ok());
-  auto sorted = SortChunkByColumn(chunk, 0);
-  ASSERT_TRUE(sorted.ok());
-  // Stable: equal keys keep their original relative order.
-  EXPECT_EQ(sorted->column(1).AsUint32()[0], 1u);  // first "a"
-  EXPECT_EQ(sorted->column(1).AsUint32()[1], 3u);  // second "a"
-  EXPECT_EQ(sorted->column(1).AsUint32()[2], 0u);  // first "b"
-}
-
-TEST(ChunkSortTest, MissingColumnRejected) {
-  BinaryChunk chunk(0);
-  EXPECT_TRUE(SortChunkByColumn(chunk, 5).status().IsInvalidArgument());
-}
-
-TEST(ChunkSortTest, KeyShorterThanChunkRejected) {
-  BinaryChunk chunk(0);
-  ASSERT_TRUE(chunk.AddColumn(0, ColumnVector(FieldType::kUint32)).ok());
-  chunk.set_num_rows(3);  // the key column holds 0 of the 3 rows
-  EXPECT_TRUE(SortPermutation(chunk, 0).status().IsInvalidArgument());
-  EXPECT_TRUE(SortChunkByColumn(chunk, 0).status().IsInvalidArgument());
-}
 
 }  // namespace
 }  // namespace scanraw

@@ -627,26 +627,6 @@ TEST(StorageManagerTest, OpenExistingReadsOldAndAppendsNew) {
   EXPECT_EQ(back2->chunk_index(), 2u);
 }
 
-TEST(StorageManagerTest, CompressedSegmentsRoundTrip) {
-  auto storage = StorageManager::Create(TempPath("compressed.bin"));
-  ASSERT_TRUE(storage.ok());
-  (*storage)->SetCompression(true);
-  EXPECT_TRUE((*storage)->compression());
-  // Clustered values compress well and decode exactly.
-  std::vector<uint32_t> sorted(1000), other(1000);
-  for (uint32_t i = 0; i < 1000; ++i) {
-    sorted[i] = 5000 + i;
-    other[i] = i * 7;
-  }
-  auto seg = (*storage)->WriteChunk(MakeChunk(0, sorted, other));
-  ASSERT_TRUE(seg.ok());
-  EXPECT_LT(seg->page.size, 2 * 1000 * 4u);  // well under raw 8 KB
-  auto back = (*storage)->ReadSegment(seg->page);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->column(0).AsUint32()[999], 5999u);
-  EXPECT_EQ(back->column(1).AsUint32()[999], 999u * 7);
-}
-
 TEST_F(HeapScanTest, RangeFilterSkipsChunks) {
   auto meta = catalog_.GetTable("t");
   ASSERT_TRUE(meta.ok());

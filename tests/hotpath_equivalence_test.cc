@@ -4,9 +4,8 @@
 // byte-identical PositionalMaps — and the column-at-a-time parser identical
 // BinaryChunks — over randomized schemas, delimiters, and edge-case
 // layouts: CRLF line endings, empty fields, unterminated last lines,
-// projections, selective tokenizing, push-down filters (including filters
-// that drop every row), and RFC-4180 quoted fields with range boundaries
-// forced into adversarial spots.
+// projections, selective tokenizing, and RFC-4180 quoted fields with range
+// boundaries forced into adversarial spots.
 
 #include <string>
 #include <string_view>
@@ -216,65 +215,6 @@ TEST(HotpathEquivalenceTest, RandomizedProjectionsAndSelectiveTokenize) {
   }
 }
 
-TEST(HotpathEquivalenceTest, RandomizedPushdownFilters) {
-  Random rng(4242);
-  int exercised = 0;
-  int filtered_all = 0;
-  for (int iter = 0; iter < 80; ++iter) {
-    RandomCsv csv = MakeRandomCsv(&rng, iter);
-    // Find an integer column for the predicate. Doubles are excluded: the
-    // generator produces values far outside int64 range, and the
-    // double→int64 predicate cast would overflow (UB) in both paths.
-    size_t pc = csv.schema.num_columns();
-    for (size_t c = 0; c < csv.schema.num_columns(); ++c) {
-      const FieldType t = csv.schema.column(c).type;
-      if (t == FieldType::kUint32 || t == FieldType::kInt64) {
-        pc = c;
-        break;
-      }
-    }
-    if (pc == csv.schema.num_columns()) continue;
-    ++exercised;
-
-    ParseOptions popts;
-    popts.pushdown = PushdownFilter{};
-    popts.pushdown->column = pc;
-    switch (rng.Uniform(3)) {
-      case 0:  // passes everything
-        popts.pushdown->min_value = INT64_MIN;
-        popts.pushdown->max_value = INT64_MAX;
-        break;
-      case 1:  // filters everything (empty range)
-        popts.pushdown->min_value = 1;
-        popts.pushdown->max_value = 0;
-        ++filtered_all;
-        break;
-      default: {  // arbitrary band
-        const int64_t a = static_cast<int64_t>(rng.NextUint64());
-        const int64_t b = static_cast<int64_t>(rng.NextUint64());
-        popts.pushdown->min_value = std::min(a, b);
-        popts.pushdown->max_value = std::max(a, b);
-        break;
-      }
-    }
-
-    const std::string context = "iter " + std::to_string(iter);
-    const TokenizeOptions topts = TokOpts(csv.schema);
-    auto map = TokenizeChunk(csv.chunk, topts);
-    ASSERT_TRUE(map.ok()) << context;
-
-    auto ref_parsed =
-        reference::RefParseChunk(csv.chunk, *map, csv.schema, popts);
-    auto parsed = ParseChunk(csv.chunk, *map, csv.schema, popts);
-    ASSERT_TRUE(ref_parsed.ok())
-        << context << ": " << ref_parsed.status().ToString();
-    ASSERT_TRUE(parsed.ok()) << context << ": " << parsed.status().ToString();
-    ExpectChunksEqual(*parsed, *ref_parsed, context);
-  }
-  EXPECT_GT(exercised, 20);
-  EXPECT_GT(filtered_all, 5);
-}
-
 TEST(HotpathEquivalenceTest, HandcraftedEdgeCases) {
   struct Case {
     const char* name;
@@ -364,10 +304,8 @@ TEST(HotpathEquivalenceTest, SingleParseErrorMatchesReference) {
 // ParseChunk decodes a u32 field of 1-16 bytes that ends at least 16 bytes
 // into the chunk with a 16-byte SIMD kernel, and every other field with
 // from_chars. Each case puts one field at a chosen span of a one-row chunk
-// and compares ParseChunk with the frozen reference: without push-down (the
-// compact-map loop), and with push-down on the field's column (the
-// predicate pass, then the selected-rows loop). Bytes before the field are
-// digits, so a keep mask one lane too wide changes the value.
+// and compares ParseChunk with the frozen reference. Bytes before the field
+// are digits, so a keep mask one lane too wide changes the value.
 
 // Compares one chunk whose only field spans [s, e) of `bytes`. The chunk
 // buffer is allocated to exactly `bytes.size()`, so ASan flags any read
@@ -398,29 +336,6 @@ void ExpectU32SpanMatchesReference(const std::string& bytes, uint32_t s,
   } else {
     EXPECT_EQ(got.status().code(), want.status().code()) << context;
     EXPECT_EQ(got.status().message(), want.status().message()) << context;
-  }
-
-  // A band of exactly the reference value keeps the row only if the
-  // predicate pass decoded the same value.
-  ParseOptions popts;
-  popts.pushdown = PushdownFilter{0, INT64_MIN, INT64_MAX};
-  if (want.ok()) {
-    const int64_t v = want->column(0).AsUint32()[0];
-    popts.pushdown->min_value = v;
-    popts.pushdown->max_value = v;
-  }
-  auto want_pd = reference::RefParseChunk(chunk, map, schema, popts);
-  auto got_pd = ParseChunk(chunk, map, schema, popts);
-  ASSERT_EQ(got_pd.ok(), want_pd.ok())
-      << context << " (push-down): got " << got_pd.status().ToString()
-      << ", want " << want_pd.status().ToString();
-  if (want_pd.ok()) {
-    ASSERT_EQ(want_pd->num_rows(), 1u) << context;
-    ExpectChunksEqual(*got_pd, *want_pd, context + " (push-down)");
-  } else {
-    EXPECT_EQ(got_pd.status().code(), want_pd.status().code()) << context;
-    EXPECT_EQ(got_pd.status().message(), want_pd.status().message())
-        << context << " (push-down)";
   }
 }
 
@@ -476,9 +391,9 @@ TEST(HotpathEquivalenceTest, AdversarialU32FieldsMatchReference) {
   }
 
   // A span that runs past the chunk buffer, as only a corrupt positional
-  // map can hold, is Corruption with and without push-down; the frozen
-  // reference clamps it to the buffer instead. The kernel's 16-byte load
-  // must not be used for it (ASan flags the load for the first two ends).
+  // map can hold, is Corruption; the frozen reference clamps it to the
+  // buffer instead. The kernel's 16-byte load must not be used for it (ASan
+  // flags the load for the first two ends).
   TextChunk chunk;
   chunk.chunk_index = 3;
   chunk.data = "99999999999912345678";
@@ -487,14 +402,9 @@ TEST(HotpathEquivalenceTest, AdversarialU32FieldsMatchReference) {
     PositionalMap map(1, 1);
     map.Set(0, 0, 12);
     map.Set(0, 1, e);
-    for (bool pushdown : {false, true}) {
-      ParseOptions popts;
-      if (pushdown) popts.pushdown = PushdownFilter{0, INT64_MIN, INT64_MAX};
-      auto got = ParseChunk(chunk, map, Schema::AllUint32(1), popts);
-      EXPECT_TRUE(got.status().IsCorruption())
-          << "[12, " << e << ") push-down " << pushdown << ": "
-          << got.status().ToString();
-    }
+    auto got = ParseChunk(chunk, map, Schema::AllUint32(1), {});
+    EXPECT_TRUE(got.status().IsCorruption())
+        << "[12, " << e << "): " << got.status().ToString();
   }
 }
 

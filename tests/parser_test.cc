@@ -195,53 +195,12 @@ TEST(ParseChunkTest, SpanPastChunkIsCorruption) {
   ASSERT_EQ(map.num_rows(), 3u);
   map.Set(0, 0, 4);
   map.Set(0, 1, 9);
-  for (bool pushdown : {false, true}) {
-    ParseOptions opts;
-    if (pushdown) opts.pushdown = PushdownFilter{0, 0, 100};
-    auto binary = ParseChunk(chunk, map, schema, opts);
-    ASSERT_FALSE(binary.ok()) << "push-down " << pushdown;
-    EXPECT_TRUE(binary.status().IsCorruption())
-        << binary.status().ToString();
-    EXPECT_NE(binary.status().message().find("chunk 5 row 0 col 0"),
-              std::string::npos)
-        << binary.status().ToString();
-  }
-}
-
-TEST(ParseChunkTest, PushdownSelectionFiltersRows) {
-  Schema schema = Schema::AllUint32(2);
-  TextChunk chunk = MakeTextChunk("10,1\n20,2\n30,3\n40,4\n");
-  PositionalMap map = Tokenize(chunk, schema);
-  ParseOptions opts;
-  opts.pushdown = PushdownFilter{0, 15, 35};
-  auto binary = ParseChunk(chunk, map, schema, opts);
-  ASSERT_TRUE(binary.ok());
-  EXPECT_EQ(binary->num_rows(), 2u);
-  EXPECT_EQ(binary->column(1).AsUint32()[0], 2u);
-  EXPECT_EQ(binary->column(1).AsUint32()[1], 3u);
-}
-
-TEST(ParseChunkTest, PushdownAllRowsFiltered) {
-  Schema schema = Schema::AllUint32(2);
-  TextChunk chunk = MakeTextChunk("10,1\n20,2\n");
-  PositionalMap map = Tokenize(chunk, schema);
-  ParseOptions opts;
-  opts.pushdown = PushdownFilter{0, 100, 200};
-  auto binary = ParseChunk(chunk, map, schema, opts);
-  ASSERT_TRUE(binary.ok());
-  EXPECT_EQ(binary->num_rows(), 0u);
-}
-
-TEST(ParseChunkTest, PushdownOnStringRejected) {
-  Schema schema(std::vector<ColumnDef>{{"s", FieldType::kString},
-                                       {"v", FieldType::kUint32}});
-  TextChunk chunk = MakeTextChunk("a,1\n");
-  PositionalMap map = Tokenize(chunk, schema);
-  ParseOptions opts;
-  opts.pushdown = PushdownFilter{0, 0, 10};
-  EXPECT_TRUE(ParseChunk(chunk, map, schema, opts)
-                  .status()
-                  .IsInvalidArgument());
+  auto binary = ParseChunk(chunk, map, schema, ParseOptions{});
+  ASSERT_FALSE(binary.ok());
+  EXPECT_TRUE(binary.status().IsCorruption()) << binary.status().ToString();
+  EXPECT_NE(binary.status().message().find("chunk 5 row 0 col 0"),
+            std::string::npos)
+      << binary.status().ToString();
 }
 
 // Round-trip property: print -> tokenize -> parse recovers the values.

@@ -420,7 +420,6 @@ TEST_F(RecoveryTest, SpeculativeEnospcFallsBackToRawSide) {
   ASSERT_TRUE(manager.ok());
   ScanRawOptions options = FullLoadOptions();
   options.policy = LoadPolicy::kSpeculativeLoading;
-  options.write_failure_backoff_ms = 1;  // retry quickly so failures tally
   ASSERT_TRUE(
       (*manager)->RegisterRawFile("t", csv_path_, schema_, options).ok());
 

@@ -1,7 +1,6 @@
 // Tests for the extension features around the core operator: shared-scan
 // multi-query execution (§7 future work), the positional map cache (§2),
-// conversion-time sketches (§3.3), catalog persistence / restart recovery,
-// and write-failure isolation.
+// catalog persistence / restart recovery, and write-failure isolation.
 
 #include <gtest/gtest.h>
 
@@ -243,29 +242,6 @@ TEST(PositionalMapCacheTest, NarrowerMapNeverReplacesWider) {
   EXPECT_EQ(cache.Lookup(1, dialect)->fields_per_row(), 8u);
 }
 
-// --------------------------------------------------------------- sketches
-
-TEST(SketchesIntegrationTest, CollectedDuringConversionOnce) {
-  auto options = BaseOptions();
-  options.policy = LoadPolicy::kExternalTables;
-  options.collect_sketches = true;
-  options.cache_capacity_chunks = 0;  // re-scan every query
-  auto f = Fixture::Make("sketch", options);
-  ScanRaw op("t", f.manager->catalog(), f.manager->storage(),
-             f.manager->arbiter(), nullptr, options);
-  QuerySpec query;
-  for (size_t c = 0; c < 8; ++c) query.sum_columns.push_back(c);
-  ASSERT_TRUE(op.ExecuteQuery(query).ok());
-  ASSERT_TRUE(op.ExecuteQuery(query).ok());
-  // Each chunk contributes exactly once despite two full scans.
-  EXPECT_EQ(op.sketches().chunks_added(), 8u);
-  // 4000 near-unique random uint32 values: estimate within KMV error.
-  const double distinct = op.sketches().EstimateDistinct(0);
-  EXPECT_GT(distinct, 3000.0);
-  EXPECT_LT(distinct, 5200.0);
-  EXPECT_FALSE(op.sketches().Sample(0).empty());
-}
-
 // ------------------------------------------------- persistence and restart
 
 TEST(RestartTest, CatalogAndStorageSurviveRestart) {
@@ -415,139 +391,7 @@ TEST(WriteFailureTest, QueryStillSucceedsWhenLoadingFails) {
   EXPECT_EQ(again->total_sum, info->total_sum);
 }
 
-// ----------------------------------------------------- push-down selection
-
-TEST(PushdownSelectionTest, FiltersDuringParseWithoutPoisoningState) {
-  auto options = BaseOptions();
-  options.policy = LoadPolicy::kExternalTables;
-  options.pushdown_selection = true;
-  auto f = Fixture::Make("pushdown", options);
-
-  QuerySpec filtered;
-  filtered.sum_columns = {0, 1};
-  filtered.predicate.range = RangePredicate{2, 0, 1 << 29};  // ~25% of rows
-
-  // Reference result without push-down.
-  auto ref_options = BaseOptions();
-  ref_options.policy = LoadPolicy::kExternalTables;
-  ScanRaw ref_op("t", f.manager->catalog(), f.manager->storage(),
-                 f.manager->arbiter(), nullptr, ref_options);
-  auto want = ref_op.ExecuteQuery(filtered);
-  ASSERT_TRUE(want.ok());
-
-  ScanRaw op("t", f.manager->catalog(), f.manager->storage(),
-             f.manager->arbiter(), nullptr, options);
-  auto got = op.ExecuteQuery(filtered);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->rows_matched, want->rows_matched);
-  EXPECT_EQ(got->total_sum, want->total_sum);
-  // Push-down pruned rows before the engine saw them.
-  EXPECT_LT(got->rows_scanned, want->rows_scanned);
-
-  // Filtered chunks were neither cached nor loaded...
-  EXPECT_EQ(op.cache().size(), 0u);
-  EXPECT_DOUBLE_EQ(f.manager->catalog()->GetTable("t")->LoadedFraction(),
-                   0.0);
-  // ...so an unfiltered query afterwards is still complete and correct.
-  QuerySpec full;
-  for (size_t c = 0; c < 8; ++c) full.sum_columns.push_back(c);
-  auto all = op.ExecuteQuery(full);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->total_sum, f.info.total_sum);
-  EXPECT_EQ(all->rows_scanned, 4000u);
-}
-
-TEST(PushdownSelectionTest, IgnoredOutsideExternalTables) {
-  auto options = BaseOptions();
-  options.policy = LoadPolicy::kFullLoad;
-  options.pushdown_selection = true;  // must be ignored for loading policies
-  auto f = Fixture::Make("pushdown_load", options);
-  QuerySpec filtered;
-  filtered.sum_columns = {0};
-  filtered.predicate.range = RangePredicate{1, 0, 1 << 29};
-  auto result = f.manager->Query("t", filtered);
-  ASSERT_TRUE(result.ok());
-  // Full chunks were loaded (push-down suppressed), so everything is
-  // complete in the database.
-  auto meta = f.manager->catalog()->GetTable("t");
-  uint64_t loaded_rows = 0;
-  for (const auto& cm : meta->chunks) {
-    if (!cm.segments.empty()) loaded_rows += cm.num_rows;
-  }
-  EXPECT_EQ(loaded_rows, 4000u);
-}
-
-// -------------------------------------------------------- sorted loading
-
-TEST(SortedLoadTest, StoredChunksAreSortedAndQueriesUnchanged) {
-  auto options = BaseOptions();
-  options.policy = LoadPolicy::kFullLoad;
-  options.sort_column_before_load = 0;
-  auto f = Fixture::Make("sorted", options);
-  QuerySpec query;
-  for (size_t c = 0; c < 8; ++c) query.sum_columns.push_back(c);
-  auto r1 = f.manager->Query("t", query);
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  EXPECT_EQ(r1->total_sum, f.info.total_sum);
-
-  // Every stored chunk is ascending on column 0.
-  auto meta = f.manager->catalog()->GetTable("t");
-  ASSERT_TRUE(meta.ok());
-  for (const auto& cm : meta->chunks) {
-    ASSERT_FALSE(cm.segments.empty());
-    auto chunk = f.manager->storage()->ReadChunkColumns(cm, {0});
-    ASSERT_TRUE(chunk.ok());
-    auto values = chunk->column(0).AsUint32();
-    EXPECT_TRUE(std::is_sorted(values.begin(), values.end()))
-        << "chunk " << cm.chunk_index;
-  }
-
-  // Queries served from the (sorted) database still compute the same
-  // aggregate.
-  auto r2 = f.manager->Query("t", query);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->total_sum, f.info.total_sum);
-}
-
-TEST(SortedLoadTest, CompressedSortedSegmentsSmallerAndCorrect) {
-  const std::string csv = TempPath("compress.csv");
-  CsvSpec spec;
-  spec.num_rows = 4000;
-  spec.num_columns = 8;
-  spec.seed = 5;
-  auto info = GenerateCsvFile(csv, spec);
-  ASSERT_TRUE(info.ok());
-  ScanRawOptions options = BaseOptions();
-  options.policy = LoadPolicy::kFullLoad;
-  options.sort_column_before_load = 0;
-  QuerySpec query;
-  for (size_t c = 0; c < 8; ++c) query.sum_columns.push_back(c);
-
-  uint64_t plain_bytes = 0, packed_bytes = 0;
-  for (bool compress : {false, true}) {
-    ScanRawManager::Config config;
-    config.db_path = TempPath(compress ? "packed.db" : "plain.db");
-    config.compress_segments = compress;
-    auto manager = ScanRawManager::Create(config);
-    ASSERT_TRUE(manager.ok());
-    ASSERT_TRUE(
-        (*manager)->RegisterRawFile("t", csv, CsvSchema(spec), options).ok());
-    auto result = (*manager)->Query("t", query);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->total_sum, info->total_sum);
-    // Re-query from the database to prove compressed segments decode.
-    auto again = (*manager)->Query("t", query);
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(again->total_sum, info->total_sum);
-    (compress ? packed_bytes : plain_bytes) =
-        (*manager)->storage()->bytes_written();
-  }
-  // Sorting clusters column 0, so at least that column delta-compresses;
-  // the others are random uint32 (~5 varint bytes), leaving a net win.
-  EXPECT_LT(packed_bytes, plain_bytes);
-}
-
-// ----------------------------------------------- resource monitor / admission
+// -------------------------------------------------------- resource monitor
 
 TEST(ResourceMonitorTest, SnapshotsLivePipeline) {
   auto options = BaseOptions();
@@ -574,25 +418,6 @@ TEST(ResourceMonitorTest, SnapshotsLivePipeline) {
   auto done = (*run)->Resources();
   EXPECT_EQ(done.busy_workers, 0u);
   EXPECT_EQ(done.output_buffer_size, 0u);
-}
-
-TEST(DelayedAdmissionTest, QueriesWaitForBackgroundWrites) {
-  auto options = BaseOptions();
-  options.delay_admission_for_writes = true;
-  auto f = Fixture::Make("delayed", options);
-  QuerySpec query;
-  for (size_t c = 0; c < 8; ++c) query.sum_columns.push_back(c);
-  for (int q = 0; q < 4; ++q) {
-    auto result = f.manager->Query("t", query);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->total_sum, f.info.total_sum);
-  }
-  // With admission delayed behind the safeguard flush, progress per query
-  // is the full cache size every time.
-  ScanRaw* op = f.manager->GetOperator("t");
-  if (op != nullptr) op->WaitForWrites();
-  EXPECT_DOUBLE_EQ(f.manager->catalog()->GetTable("t")->LoadedFraction(),
-                   1.0);
 }
 
 // ------------------------------------------------------- SAM multi-query

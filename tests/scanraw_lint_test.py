@@ -803,10 +803,10 @@ class LintTest(unittest.TestCase):
         self.assertIn("[numeric-at]", out)
 
     def test_numeric_at_outside_exec_or_in_test_passes(self):
-        self.write("src/columnar/chunk_sort.cc",
+        self.write("src/db/statistics.cc",
                    "return key.NumericAt(a) < key.NumericAt(b);\n")
         self.write("src/exec/query_test.cc", "EXPECT_EQ(v.NumericAt(0), 1);\n")
-        code, out = self.lint("src/columnar/chunk_sort.cc",
+        code, out = self.lint("src/db/statistics.cc",
                               "src/exec/query_test.cc")
         self.assertEqual(code, 0, out)
 

@@ -148,9 +148,12 @@ TEST(StressTest, RandomConfigurationsMatchReference) {
     options.text_buffer_capacity = 1 + rng.Uniform(8);
     options.output_buffer_capacity = 1 + rng.Uniform(8);
     options.cache_positional_maps = rng.OneIn(2);
-    options.collect_sketches = rng.OneIn(2);
-    options.delay_admission_for_writes = rng.OneIn(3);
-    if (rng.OneIn(3)) options.sort_column_before_load = rng.Uniform(kCols);
+    options.positional_map_cache_chunks = 1 + rng.Uniform(16);  // 1..16
+    // The u32 file holds no quotes, so the quoted dialect's record scan and
+    // parallel tokenizer must give the same answers.
+    options.quoted_fields = rng.OneIn(2);
+    options.safeguard_enabled = !rng.OneIn(4);
+    options.sync_segment_writes = rng.OneIn(2);
     options.invisible_chunks_per_query = 1 + rng.Uniform(4);
 
     ScanRawManager::Config config;
@@ -165,7 +168,8 @@ TEST(StressTest, RandomConfigurationsMatchReference) {
         "trial " + std::to_string(trial) + " policy " +
         std::string(LoadPolicyName(options.policy)) + " workers " +
         std::to_string(options.num_workers) + " chunk_rows " +
-        std::to_string(options.chunk_rows);
+        std::to_string(options.chunk_rows) +
+        (options.quoted_fields ? " quoted" : "");
     for (int q = 0; q < 4; ++q) {
       const QuerySpec spec = RandomQuery(&rng);
       auto result = (*manager)->Query("t", spec);

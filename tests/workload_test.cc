@@ -324,6 +324,60 @@ TEST_F(WorkloadReplayTest, RetiredHeapScanQueriesReachTheLog) {
   }
 }
 
+// Attaching a query log does not make a speculative query wait for its
+// background writes: on a slow disk the safeguard flush is still running
+// when the query returns, as it is without a log (§4 lets it overlap the
+// next query). Only an explicit EXPLAIN drains the writes.
+TEST_F(WorkloadReplayTest, LoggedQueryDoesNotWaitForBackgroundWrites) {
+  const std::string log_path = TempPath(".jsonl");
+  ASSERT_TRUE(RemoveFileIfExists(log_path).ok());
+  ASSERT_TRUE(RemoveFileIfExists(log_path + ".1").ok());
+  ScanRawManager::Config config;
+  config.db_path = TempPath(".db");
+  config.disk_bandwidth = 64 << 10;  // the flush's 6 pages take ~0.75 s
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  auto log = QueryLog::Open(log_path);
+  ASSERT_TRUE(log.ok());
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kSpeculativeLoading;
+  options.query_log = log->get();
+  ASSERT_TRUE((*manager)
+                  ->RegisterRawFile("t", csv_path_, CsvSchema(spec_), options)
+                  .ok());
+
+  auto result = (*manager)->Query("t", FullQuery());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ScanRaw* op = (*manager)->GetOperator("t");
+  ASSERT_NE(op, nullptr);
+  const uint64_t written_at_return = op->profile().chunks_written.load();
+  EXPECT_EQ(result->total_sum, info_.total_sum);
+  EXPECT_EQ((*log)->events_appended(), 1u);
+
+  // A second logged query, an EXPLAIN, drains the writes. Each write is
+  // credited to the query running when it lands, so the first query's
+  // flush, still landing when this one starts, is counted in the second
+  // event, and no write is counted in both.
+  obs::ExplainReport explain;
+  auto second = op->ExecuteQuery(FullQuery(), &explain);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->total_sum, info_.total_sum);
+  const uint64_t written_after_drain = op->profile().chunks_written.load();
+  EXPECT_EQ(written_after_drain, 6u);
+  EXPECT_LT(written_at_return, written_after_drain);
+  ASSERT_TRUE((*log)->Close().ok());
+
+  auto events = QueryLog::ReadAll(log_path);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(events->size(), 2u);
+  const uint64_t first_logged = (*events)[0].chunks_written;
+  const uint64_t second_logged = (*events)[1].chunks_written;
+  EXPECT_LE(first_logged, written_at_return);
+  EXPECT_GT(second_logged, 0u);
+  EXPECT_EQ(second_logged, explain.chunks_written);
+  EXPECT_LE(first_logged + second_logged, written_after_drain);
+}
+
 TEST_F(WorkloadReplayTest, PersistedHistoryChangesLoadOrderNotResults) {
   const std::string log_path = TempPath(".jsonl");
   const std::string history_path = TempPath(".history");
